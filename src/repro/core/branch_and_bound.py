@@ -35,8 +35,10 @@ to the scalar path (same groups, same :class:`SearchStats`).
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.coverage import CoverageContext
@@ -61,7 +63,7 @@ class _BudgetExhausted(Exception):
     """Internal signal: a node/time budget stopped the search."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
     """Instrumentation for one solver run.
 
@@ -107,7 +109,7 @@ class SearchStats:
     union_prunes: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KTGResult:
     """Outcome of one KTG query: the top-N groups plus instrumentation."""
 
@@ -258,9 +260,9 @@ class BranchAndBoundSolver:
         self.distance_engine = "bitset" if self.kernel is not None else "oracle"
         self._deadline: Optional[float] = None
         self._hooks: Optional["SolverHooks"] = None
-        # Strong ref to the most recent coverage context: keeps the
-        # query-object memo (KTGQuery.cached_context) alive between
-        # solves of the same query without pinning contexts globally.
+        # Strong ref to the most recent coverage context: keeps its
+        # KTGQuery.cached_context memo entry alive between solves of the
+        # same keywords without pinning contexts globally.
         self._last_context: Optional[CoverageContext] = None
         # (context, SolveBatch-or-None) pair for the batched expansion
         # core; identity-keyed so repeat solves of one context reuse it.
@@ -271,7 +273,8 @@ class BranchAndBoundSolver:
     def algorithm_name(self) -> str:
         """Paper-style label, e.g. ``KTG-VKC-DEG-NLRNL``."""
         strategy_part = self.strategy.name.upper()
-        return f"KTG-{strategy_part}-{self.oracle.name.upper()}"
+        # Interned: every result carries it, so results share one string.
+        return sys.intern(f"KTG-{strategy_part}-{self.oracle.name.upper()}")
 
     # ------------------------------------------------------------------
     def solve(
@@ -610,7 +613,7 @@ class BranchAndBoundSolver:
         vectorized sweep) instead of a per-candidate popcount."""
         masks = context.masks
         covered_bits = covered_mask.bit_count()
-        query_size = context.query_size
+        coverage_of = _coverage_values(context.query_size)
         sorted_by_gain = self.strategy.resorts
         uncovered = ~covered_mask
         gains_list: Optional[list[int]] = None
@@ -648,7 +651,7 @@ class BranchAndBoundSolver:
                 if gains_list is not None
                 else (masks[vertex] & uncovered).bit_count()
             )
-            coverage = (covered_bits + gain) / query_size
+            coverage = coverage_of[covered_bits + gain]
             if (
                 sorted_by_gain
                 and self.keyword_pruning
@@ -709,6 +712,13 @@ class BranchAndBoundSolver:
         if self.kernel is not None:
             return self.kernel.filter_candidates(candidates, member, k)
         return self.oracle.filter_candidates(candidates, member, k)
+
+
+@lru_cache(maxsize=64)
+def _coverage_values(query_size: int) -> tuple[float, ...]:
+    """``covered / query_size`` for every covered count.  Built once per
+    query size, so the groups of every result share these floats."""
+    return tuple(covered / query_size for covered in range(query_size + 1))
 
 
 def make_solver(

@@ -78,6 +78,7 @@ class CoverageContext:
         "query_size",
         "full_mask",
         "masks",
+        "sort_tables",
         "_packed",
         "__weakref__",
     )
@@ -115,6 +116,10 @@ class CoverageContext:
                         mask |= 1 << position
                 masks[vertex] = mask
         self.masks: list[int] = masks
+        #: Re-sort memo of the VKC strategies (see
+        #: :mod:`repro.core.strategies`): ``(strategy, covered_mask)`` ->
+        #: vertex -> sort key.  It lives and dies with this context.
+        self.sort_tables: dict[tuple[object, int], dict[int, int]] = {}
         self._packed: Optional[tuple[int, Any]] = None
 
     # ------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "GraphConstructionError",
+    "KeywordLabelError",
     "UnknownVertexError",
     "QueryValidationError",
     "InfeasibleQueryError",
@@ -39,6 +40,17 @@ class GraphConstructionError(ReproError):
     Typical causes: self-loops, duplicate edges with conflicting data,
     edges referencing vertices that were never declared, or keyword
     tables mentioning unknown vertices.
+    """
+
+
+class KeywordLabelError(GraphConstructionError, ValueError):
+    """Raised when vertex keyword labels are not an iterable of strings.
+
+    Every label must be a non-empty ``str`` without NUL characters (the
+    CSR snapshot stores labels NUL-separated), and a bare string is
+    rejected rather than split into one label per character.  The graph
+    checks this before interning anything, so a rejected edit leaves
+    the graph unchanged.
     """
 
 

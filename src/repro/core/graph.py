@@ -26,7 +26,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Optional
 
-from repro.core.errors import GraphConstructionError, UnknownVertexError
+from repro.core.errors import (
+    GraphConstructionError,
+    KeywordLabelError,
+    UnknownVertexError,
+)
 
 __all__ = ["KeywordTable", "AttributedGraph"]
 
@@ -136,9 +140,7 @@ class AttributedGraph:
         "_num_edges",
         "_version",
         "_csr_cache",
-        # Weak-referenceable so per-query coverage contexts can be
-        # memoised against (graph, version) without pinning the graph
-        # (see KTGQuery.cached_context).
+        # Weak-referenceable, so caches keyed on a graph need not pin it.
         "__weakref__",
     )
 
@@ -196,10 +198,35 @@ class AttributedGraph:
                     f"{len(keywords)} != num_vertices {self._num_vertices}"
                 )
             items = enumerate(keywords)
-        intern = self._keyword_table.intern
         for vertex, labels in items:
             self._check_vertex(vertex)
-            self._vertex_keywords[vertex] = frozenset(intern(label) for label in labels)
+            self._vertex_keywords[vertex] = self._intern_labels(labels)
+
+    def _intern_labels(self, labels: Iterable[str]) -> frozenset[int]:
+        """Validate *labels*, then intern them as a keyword-id set.
+
+        Raises :class:`KeywordLabelError` before interning anything, so
+        a bad label never reaches the shared keyword table.
+        """
+        if isinstance(labels, (str, bytes)):
+            raise KeywordLabelError(
+                f"keyword labels must be an iterable of strings, got the bare "
+                f"string {labels!r}"
+            )
+        try:
+            checked = list(labels)
+        except TypeError:
+            raise KeywordLabelError(
+                f"keyword labels must be an iterable of strings, got {labels!r}"
+            ) from None
+        for label in checked:
+            if not isinstance(label, str) or not label or "\x00" in label:
+                raise KeywordLabelError(
+                    f"keyword labels must be non-empty strings without NUL, "
+                    f"got {label!r}"
+                )
+        intern = self._keyword_table.intern
+        return frozenset(intern(label) for label in checked)
 
     def _check_vertex(self, vertex: int) -> None:
         if not isinstance(vertex, int) or isinstance(vertex, bool):
@@ -377,10 +404,13 @@ class AttributedGraph:
         self._version += 1
 
     def set_keywords(self, vertex: int, labels: Iterable[str]) -> None:
-        """Replace the keyword set of *vertex* with *labels*."""
+        """Replace the keyword set of *vertex* with *labels*.
+
+        Raises :class:`KeywordLabelError` (graph unchanged) unless
+        *labels* is an iterable of non-empty strings.
+        """
         self._check_vertex(vertex)
-        intern = self._keyword_table.intern
-        self._vertex_keywords[vertex] = frozenset(intern(label) for label in labels)
+        self._vertex_keywords[vertex] = self._intern_labels(labels)
         self._version += 1
 
     def add_vertex(self, labels: Iterable[str] = ()) -> int:
@@ -388,11 +418,13 @@ class AttributedGraph:
 
         Vertex ids stay dense: the new vertex gets id ``num_vertices``
         (pre-insert).  Connect it with :meth:`add_edge` afterwards.
+        Raises :class:`KeywordLabelError` (graph unchanged) unless
+        *labels* is an iterable of non-empty strings.
         """
-        intern = self._keyword_table.intern
+        keyword_ids = self._intern_labels(labels)
         vertex = self._num_vertices
         self._adjacency.append(set())
-        self._vertex_keywords.append(frozenset(intern(label) for label in labels))
+        self._vertex_keywords.append(keyword_ids)
         self._num_vertices += 1
         self._version += 1
         return vertex

@@ -98,6 +98,8 @@ class KeywordIndex:
             for vertex in self._postings.get(label, ()):
                 masks[vertex] |= bit
         context.masks = masks
+        context.sort_tables = {}
+        context._packed = None
         return context
 
     def qualified_count(self, query_keywords: Sequence[str]) -> int:

@@ -34,6 +34,12 @@ DEFAULT_GROUP_SIZE = 3
 DEFAULT_TENUITY = 2
 DEFAULT_TOP_N = 3
 
+#: Live coverage contexts by ``(id(graph), graph.version, keywords)``;
+#: see :meth:`KTGQuery.cached_context`.
+_CONTEXTS: "weakref.WeakValueDictionary[tuple, CoverageContext]" = (
+    weakref.WeakValueDictionary()
+)
+
 
 @dataclass(frozen=True)
 class KTGQuery:
@@ -89,45 +95,29 @@ class KTGQuery:
 
     def cached_context(self, graph) -> "CoverageContext":
         """A :class:`repro.core.coverage.CoverageContext` for this query
-        on *graph*, memoised on the query object.
+        on *graph*, memoised per ``(graph, graph.version, keywords)``.
 
         The packed keyword masks (and the batched solver core's mask
-        matrix cached inside the context) are a pure function of
-        ``(graph, graph.version, keywords)``, so repeat solves of the
-        same query object — DKTG-Greedy rounds, warm service traffic —
-        skip the per-solve re-pack.  The memo holds the graph *and* the
-        context weakly: it never extends either's lifetime (solvers
-        keep the last context alive between solves), and it is dropped
-        by pickling and by ``with_``.  A graph mutation changes
-        ``graph.version`` and misses the memo.
+        matrix and re-sort memo cached inside the context) are a pure
+        function of that triple, so repeat solves of the same keywords —
+        DKTG-Greedy rounds, warm service traffic — skip the per-solve
+        re-pack.  The memo holds contexts weakly: it never extends a
+        context's lifetime (solvers keep the last context alive between
+        solves), and it stores nothing on the query, so a retained query
+        costs no memo bytes and pickles as its fields.  A graph mutation
+        changes ``graph.version`` and misses the memo.
         """
-        memo = self.__dict__.get("_context_memo")
-        version = getattr(graph, "version", None)
-        if memo is not None:
-            graph_ref, memo_version, context_ref = memo
-            context = context_ref()
-            if (
-                context is not None
-                and graph_ref() is graph
-                and memo_version == version
-            ):
-                return context
+        key = (id(graph), getattr(graph, "version", None), self.keywords)
+        context = _CONTEXTS.get(key)
+        # A live context keeps its graph alive, so its id cannot have
+        # been reused; the identity check only guards the invariant.
+        if context is not None and context.graph is graph:
+            return context
         from repro.core.coverage import CoverageContext
 
         context = CoverageContext(graph, self.keywords)
-        try:
-            memo = (weakref.ref(graph), version, weakref.ref(context))
-        except TypeError:  # non-weakref-able graph type: skip the memo
-            return context
-        object.__setattr__(self, "_context_memo", memo)
+        _CONTEXTS[key] = context
         return context
-
-    def __getstate__(self) -> dict:
-        # The context memo is process-local (weakrefs do not pickle and
-        # the context is graph-identity-keyed); fields travel as-is.
-        state = dict(self.__dict__)
-        state.pop("_context_memo", None)
-        return state
 
     def describe(self) -> str:
         """One-line human-readable rendering used by the CLI and examples."""

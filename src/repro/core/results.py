@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 __all__ = ["Group", "TopNPool"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Group:
     """One result group: a member tuple plus its query-keyword coverage.
 

@@ -27,7 +27,7 @@ oracle.
 from __future__ import annotations
 
 import abc
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 from repro.core.coverage import CoverageContext
 
@@ -98,7 +98,41 @@ class QKCOrdering(OrderingStrategy):
         return ("qkc", 0, None)
 
 
-class VKCOrdering(OrderingStrategy):
+class _MemoizedKeyOrdering(OrderingStrategy):
+    """Re-sorting through a per-context table of sort keys.
+
+    A VKC key depends only on the vertex and the covered mask, and one
+    search re-sorts under the same few masks many times.  So the keys
+    of the context's qualified vertices are computed once per
+    ``(strategy, covered_mask)`` into ``context.sort_tables`` and each
+    re-sort is a table lookup per element.  Same keys, same stable sort:
+    the order is exactly that of sorting by :meth:`sort_key`.
+    """
+
+    def initial_order(self, candidates: list[int], context: CoverageContext) -> list[int]:
+        return self.reorder(candidates, 0, context)
+
+    def reorder(
+        self, candidates: list[int], covered_mask: int, context: CoverageContext
+    ) -> list[int]:
+        table = context.sort_tables.get((self, covered_mask))
+        if table is None:
+            key = self.sort_key(covered_mask, context)
+            qualified = context.qualified_vertices()
+            table = dict(zip(qualified, map(key, qualified)))
+            context.sort_tables[(self, covered_mask)] = table
+        try:
+            return sorted(candidates, key=table.__getitem__)
+        except KeyError:
+            # A candidate outside the qualified set: key it directly.
+            return sorted(candidates, key=self.sort_key(covered_mask, context))
+
+    @abc.abstractmethod
+    def sort_key(self, covered_mask: int, context: CoverageContext) -> Callable[[int], int]:
+        """The per-vertex sort key for a node covering *covered_mask*."""
+
+
+class VKCOrdering(_MemoizedKeyOrdering):
     """Re-sort by valid keyword coverage after every member selection.
 
     This is the ordering of Algorithm 1 (KTG-VKC): the candidate that
@@ -109,21 +143,16 @@ class VKCOrdering(OrderingStrategy):
 
     name = "vkc"
 
-    def initial_order(self, candidates: list[int], context: CoverageContext) -> list[int]:
-        return self.reorder(candidates, 0, context)
-
-    def reorder(
-        self, candidates: list[int], covered_mask: int, context: CoverageContext
-    ) -> list[int]:
+    def sort_key(self, covered_mask: int, context: CoverageContext) -> Callable[[int], int]:
         masks = context.masks
         uncovered = ~covered_mask
-        return sorted(candidates, key=lambda v: -(masks[v] & uncovered).bit_count())
+        return lambda v: -(masks[v] & uncovered).bit_count()
 
     def batch_sort_spec(self) -> Optional[tuple]:
         return ("vkc", 0, None)
 
 
-class VKCDegreeOrdering(OrderingStrategy):
+class VKCDegreeOrdering(_MemoizedKeyOrdering):
     """VKC ordering with vertex degree as the tie-break (Section IV-B).
 
     Parameters
@@ -154,12 +183,7 @@ class VKCDegreeOrdering(OrderingStrategy):
         self._degree_sign = 1 if degree_order == "ascending" else -1
         self.degree_order = degree_order
 
-    def initial_order(self, candidates: list[int], context: CoverageContext) -> list[int]:
-        return self.reorder(candidates, 0, context)
-
-    def reorder(
-        self, candidates: list[int], covered_mask: int, context: CoverageContext
-    ) -> list[int]:
+    def sort_key(self, covered_mask: int, context: CoverageContext) -> Callable[[int], int]:
         masks = context.masks
         degrees = self._degrees
         sign = self._degree_sign
@@ -168,12 +192,7 @@ class VKCDegreeOrdering(OrderingStrategy):
         # realistic degree), signed degree breaks ties.  One int compare
         # per element is measurably cheaper than tuple keys in this hot
         # path.
-        return sorted(
-            candidates,
-            key=lambda v: (
-                -((masks[v] & uncovered).bit_count() << 32) + sign * degrees[v]
-            ),
-        )
+        return lambda v: -((masks[v] & uncovered).bit_count() << 32) + sign * degrees[v]
 
     def batch_sort_spec(self) -> Optional[tuple]:
         # The composite int key above orders exactly like the pair

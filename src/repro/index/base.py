@@ -130,8 +130,9 @@ class DistanceOracle(abc.ABC):
         k-ball once via :meth:`within_k` and drops candidates with one
         set subtraction — ``|candidates|`` pairwise ``is_tenuous``
         probes would re-derive that ball from scratch each time.
-        Oracles whose ``within_k`` is itself O(n) probing (NLRNL, PLL)
-        override this with an inlined pairwise loop instead.
+        Oracles whose ``within_k`` is itself O(n) probing override this:
+        NLRNL with cached per-member keep-rows, PLL with an inlined
+        pairwise loop.
         """
         self.stats.probes += len(candidates)
         if k == 0:

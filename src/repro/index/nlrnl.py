@@ -35,11 +35,23 @@ identify the vertices whose BFS distances may have changed using the
 old distances from the edge endpoints, then rebuild exactly those
 vertices' maps.  ``c`` values are frozen at build time so the
 missing-pair convention stays stable across updates.
+
+k-line filtering (:meth:`NLRNLIndex.filter_candidates`) reads a derived
+**row cache** instead of probing the maps per candidate: a member's
+exact distance row is decoded once from the id-halved maps, and each
+``(member, k)`` pair gets a keep-row of one byte per vertex
+(``dist > k``), so filtering is one byte lookup per candidate.  The
+cache is bounded by :data:`ROW_CACHE_BYTES`, drops only the rows of the
+vertices an edge repair rebuilds, and never changes ``stats.entries``.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from array import array
+from itertools import compress, repeat
+from typing import Union
 
 from repro.core.errors import IndexUpdateError
 from repro.core.graph import AttributedGraph
@@ -47,7 +59,18 @@ from repro.index._traversal import UNREACHABLE, bfs_distance_array, bfs_levels
 from repro.index.base import DistanceOracle
 from repro.index.nl import choose_peak_level
 
-__all__ = ["NLRNLIndex"]
+__all__ = ["NLRNLIndex", "ROW_CACHE_BYTES"]
+
+#: Byte budget of the row cache (distance rows plus keep-rows).  A row
+#: costs one byte per vertex (two or four for distance rows of graphs
+#: with distances >= 255), so a 320-vertex graph filtering at four k
+#: values needs about 0.5 MiB; past the budget the oldest rows go first.
+ROW_CACHE_BYTES = 16 << 20
+
+#: Row-cache key slot of a member's distance row (keep-rows use k >= 1).
+_DISTANCE_ROW = -1
+
+Row = Union[bytes, array]
 
 
 class NLRNLIndex(DistanceOracle):
@@ -77,6 +100,29 @@ class NLRNLIndex(DistanceOracle):
         self._component: list[int] = []
         self.rebuild()
 
+    def _reset_row_cache(self) -> None:
+        """Start an empty row cache (also used after unpickling/loading).
+
+        ``_rows`` maps ``(member, k)`` to a keep-row and
+        ``(member, _DISTANCE_ROW)`` to a distance row.  Hits read it
+        without locking; misses build and insert under ``_row_lock``.
+        """
+        self._rows: dict[tuple[int, int], Row] = {}
+        self._row_bytes = 0
+        self._row_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        # The row cache is derived state: never ship n^2 bytes (or a
+        # lock) to a process worker or a copy.
+        state = dict(self.__dict__)
+        for name in ("_rows", "_row_bytes", "_row_lock"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_row_cache()
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -100,6 +146,7 @@ class NLRNLIndex(DistanceOracle):
         self._depth_of = depth_of
         self._c = c_values
         self._component = graph.connected_components()
+        self._reset_row_cache()
 
         self.stats.entries = entries
         self.stats.build_seconds = time.perf_counter() - started
@@ -145,33 +192,91 @@ class NLRNLIndex(DistanceOracle):
         return self._c[u] > k
 
     def filter_candidates(self, candidates: list[int], member: int, k: int) -> list[int]:
-        """k-line filtering with the probe inlined (hot path)."""
+        """k-line filtering as one keep-row lookup per candidate (hot path).
+
+        Counts one probe per candidate, exactly like pairwise probing.
+        """
         self.stats.probes += len(candidates)
-        if k == 0:
+        if k <= 0:
             return [v for v in candidates if v != member]
-        depth_of = self._depth_of
-        component = self._component
-        c_values = self._c
-        member_component = component[member]
-        member_map = depth_of[member]
-        member_c = c_values[member]
-        surviving: list[int] = []
-        append = surviving.append
-        for v in candidates:
-            if v == member:
-                continue
-            if v > member:
-                depth = member_map.get(v)
-                c = member_c
+        keep = self._rows.get((member, k))
+        if keep is None:
+            keep = self._keep_row(member, k)
+        return [v for v in candidates if keep[v]]
+
+    # ------------------------------------------------------------------
+    # Row cache (derived from the maps; see module docstring)
+    # ------------------------------------------------------------------
+    def _keep_row(self, member: int, k: int) -> Row:
+        """Build, cache and return *member*'s keep-row for ``k >= 1``:
+        byte ``v`` is 1 iff ``dist(member, v) > k``."""
+        with self._row_lock:
+            keep = self._rows.get((member, k))
+            if keep is not None:
+                return keep
+            row = self._rows.get((member, _DISTANCE_ROW))
+            if row is None:
+                row = self._distance_row(member)
+                self._cache_row((member, _DISTANCE_ROW), row)
+            if isinstance(row, bytes):
+                # Byte rows hold distances <= 254 and 255 = unreachable.
+                cut = min(k, 254) + 1
+                keep = row.translate(bytes(cut) + b"\x01" * (256 - cut))
             else:
-                depth = depth_of[v].get(member)
-                c = c_values[v]
-            if depth is None:
-                if component[v] != member_component or c > k:
-                    append(v)
-            elif depth > k:
-                append(v)
-        return surviving
+                unreachable = _unreachable_code(row.typecode)
+                keep = bytes([d > k or d == unreachable for d in row])
+            self._cache_row((member, k), keep)
+            return keep
+
+    def _distance_row(self, member: int) -> Row:
+        """*member*'s exact hop distance to every vertex, decoded from the
+        id-halved maps with the missing-pair and component rules.
+
+        Stored in the narrowest unsigned type whose maximum (the
+        unreachable code) exceeds every finite distance: bytes while all
+        distances are <= 254, else a wider array.
+        """
+        depth_of = self._depth_of
+        c_values = self._c
+        component = self._component
+        n = len(depth_of)
+        # v < member: the pair lives in v's map; missing means c[v].
+        row = list(map(dict.get, depth_of[:member], repeat(member), c_values[:member]))
+        row.append(0)
+        # v > member: the pair lives in member's own map; missing means c.
+        row.extend(
+            map(depth_of[member].get, range(member + 1, n), repeat(c_values[member]))
+        )
+        # Entries outside member's component hold some vertex's c, so the
+        # maximum bounds every finite distance (possibly loosely).
+        farthest = max(row)
+        for typecode in ("B", "H", "I", "Q"):
+            unreachable = _unreachable_code(typecode)
+            if farthest < unreachable:
+                break
+        home = component[member]
+        if component.count(home) != n:
+            for v in compress(range(n), map(home.__ne__, component)):
+                row[v] = unreachable
+        return bytes(row) if typecode == "B" else array(typecode, row)
+
+    def _cache_row(self, key: tuple[int, int], row: Row) -> None:
+        """Insert *row*, evicting the oldest rows past the byte budget.
+        Caller holds ``_row_lock``."""
+        rows = self._rows
+        self._row_bytes += _row_size(row)
+        while rows and self._row_bytes > ROW_CACHE_BYTES:
+            self._row_bytes -= _row_size(rows.pop(next(iter(rows))))
+        rows[key] = row
+
+    def _evict_rows(self, vertices: list[int]) -> None:
+        """Drop every cached row of *vertices*: their distances may have
+        changed, and a distance only changes between two such vertices."""
+        targets = set(vertices)
+        with self._row_lock:
+            rows = self._rows
+            for key in [key for key in rows if key[0] in targets]:
+                self._row_bytes -= _row_size(rows.pop(key))
 
     def within_k(self, vertex: int, k: int) -> set[int]:
         """All vertices at distance 1..k of *vertex*.
@@ -264,11 +369,14 @@ class NLRNLIndex(DistanceOracle):
         self._depth_of.append({})
         self._c.append(choose_peak_level([]))
         self._component = self.graph.connected_components()
+        # Every cached row is one byte short of the new vertex.
+        self._reset_row_cache()
         self._built_version = self.graph.version
         return vertex
 
     def _rebuild_vertices(self, vertices: list[int]) -> None:
-        """Recompute the maps of *vertices* from fresh BFS runs.
+        """Recompute the maps of *vertices* from fresh BFS runs and drop
+        their cached rows.
 
         ``c`` values are kept frozen (see module docstring); components
         are recomputed because inserts can merge and deletes can split.
@@ -281,12 +389,22 @@ class NLRNLIndex(DistanceOracle):
             self._depth_of[vertex] = vertex_map
             self.stats.entries += len(vertex_map) - old_entries
         self._component = self.graph.connected_components()
+        self._evict_rows(vertices)
         self._built_version = self.graph.version
 
     # ------------------------------------------------------------------
     def c_value(self, vertex: int) -> int:
         """The frozen per-vertex ``c`` (peak hop level at build time)."""
         return self._c[vertex]
+
+
+def _unreachable_code(typecode: str) -> int:
+    """The largest value of an unsigned array type: the unreachable code."""
+    return (1 << (8 * array(typecode).itemsize)) - 1
+
+
+def _row_size(row: Row) -> int:
+    return len(row) if isinstance(row, bytes) else len(row) * row.itemsize
 
 
 def _insert_affects(dist_u: int, dist_v: int) -> bool:

@@ -169,6 +169,7 @@ def _load_nlrnl(graph: AttributedGraph, payload: dict, document: dict) -> NLRNLI
         {int(w): d for w, d in vertex_map.items()}
         for vertex_map in payload["depth_of"]
     ]
+    index._reset_row_cache()
     index.stats.entries = document.get("entries", 0)
     return index
 

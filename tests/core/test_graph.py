@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.errors import GraphConstructionError, UnknownVertexError
+from repro.core.errors import (
+    GraphConstructionError,
+    KeywordLabelError,
+    UnknownVertexError,
+)
 from repro.core.graph import AttributedGraph, KeywordTable
 
 
@@ -181,6 +185,43 @@ class TestMutation:
     def test_set_keywords(self, path_graph):
         path_graph.set_keywords(0, ["x", "y"])
         assert path_graph.keyword_labels(0) == ["x", "y"]
+
+
+BAD_LABELS = ["xy", b"xy", 7, [7], ["ok", None], [""], ["a\x00b"], [("x",)]]
+
+
+class TestKeywordLabelValidation:
+    @pytest.mark.parametrize("labels", BAD_LABELS)
+    def test_set_keywords_rejects_bad_labels(self, path_graph, labels):
+        version = path_graph.version
+        known = len(path_graph.keyword_table)
+        with pytest.raises(KeywordLabelError):
+            path_graph.set_keywords(0, labels)
+        assert path_graph.version == version
+        assert path_graph.keyword_labels(0) == ["a"]
+        assert len(path_graph.keyword_table) == known  # nothing interned
+
+    @pytest.mark.parametrize("labels", BAD_LABELS)
+    def test_add_vertex_rejects_bad_labels(self, path_graph, labels):
+        with pytest.raises(KeywordLabelError):
+            path_graph.add_vertex(labels)
+        assert path_graph.num_vertices == 5
+
+    def test_constructor_rejects_bad_labels(self):
+        with pytest.raises(KeywordLabelError):
+            AttributedGraph(2, [], {0: "ab"})
+
+    def test_error_is_a_graph_construction_value_error(self, path_graph):
+        with pytest.raises(GraphConstructionError):
+            path_graph.set_keywords(0, [1])
+        with pytest.raises(ValueError):
+            path_graph.set_keywords(0, [1])
+
+    def test_any_iterable_of_strings_is_accepted(self, path_graph):
+        path_graph.set_keywords(0, (label for label in ("x", "y")))
+        assert path_graph.keyword_labels(0) == ["x", "y"]
+        vertex = path_graph.add_vertex(frozenset({"z"}))
+        assert path_graph.keyword_labels(vertex) == ["z"]
 
 
 class TestDerived:

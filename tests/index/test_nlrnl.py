@@ -1,7 +1,12 @@
 """Unit tests for the NLRNL index."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 
+import repro.index.nlrnl as nlrnl_mod
 from repro.core.graph import AttributedGraph
 from repro.index.bfs import BFSOracle
 from repro.index.nlrnl import NLRNLIndex
@@ -138,3 +143,155 @@ class TestSingletons:
             for v in graph.vertices():
                 for k in (0, 1, 2, 3):
                     assert index.is_tenuous(u, v, k) == reference.is_tenuous(u, v, k)
+
+
+def assert_filters_match_bfs(index, graph, ks=(0, 1, 2, 3, 4)):
+    reference = BFSOracle(graph)
+    candidates = list(graph.vertices())
+    for member in graph.vertices():
+        for k in ks:
+            assert index.filter_candidates(candidates, member, k) == (
+                reference.filter_candidates(candidates, member, k)
+            ), (member, k)
+
+
+class TestRowCache:
+    def test_rows_are_built_lazily(self, figure1):
+        index = NLRNLIndex(figure1)
+        assert index._rows == {} and index._row_bytes == 0
+        index.filter_candidates([1, 2, 3], 0, 2)
+        assert set(index._rows) == {(0, -1), (0, 2)}
+        assert index._row_bytes == 2 * figure1.num_vertices
+
+    def test_filtering_keeps_probe_and_entry_accounting(self, figure1):
+        index = NLRNLIndex(figure1)
+        entries = index.stats.entries
+        candidates = list(figure1.vertices())
+        for _ in range(2):  # cold, then warm
+            index.filter_candidates(candidates, 3, 1)
+        assert index.stats.probes == 2 * len(candidates)
+        assert index.stats.entries == entries
+
+    def test_candidate_order_and_duplicates_preserved(self, figure1):
+        index = NLRNLIndex(figure1)
+        reference = BFSOracle(figure1)
+        candidates = [9, 2, 2, 0, 11, 5, 9]
+        assert index.filter_candidates(candidates, 4, 1) == (
+            reference.filter_candidates(candidates, 4, 1)
+        )
+
+    def test_disconnected_and_large_k(self, disconnected_graph):
+        index = NLRNLIndex(disconnected_graph)
+        assert_filters_match_bfs(index, disconnected_graph, ks=(0, 1, 2, 254, 255, 1000))
+
+    def test_byte_budget_bounds_the_cache(self, random_graph, monkeypatch):
+        n = random_graph.num_vertices
+        monkeypatch.setattr(nlrnl_mod, "ROW_CACHE_BYTES", 5 * n)
+        index = NLRNLIndex(random_graph)
+        assert_filters_match_bfs(index, random_graph)
+        assert index._row_bytes <= 5 * n
+        assert index._row_bytes == sum(len(row) for row in index._rows.values())
+
+    def test_edge_repair_evicts_only_affected_rows(self, disconnected_graph):
+        index = NLRNLIndex(disconnected_graph)
+        for member in disconnected_graph.vertices():
+            index.filter_candidates([0, 1, 2, 3, 4, 5], member, 1)
+        # Joining 3-4 to 5 changes no distance inside the triangle.
+        index.insert_edge(4, 5)
+        assert {key[0] for key in index._rows} == {0, 1, 2}
+        assert_filters_match_bfs(index, disconnected_graph)
+        index.delete_edge(0, 1)
+        assert_filters_match_bfs(index, disconnected_graph)
+
+    def test_keyword_edit_keeps_rows_and_vertex_insert_resets(self, figure1):
+        index = NLRNLIndex(figure1)
+        index.filter_candidates([1, 2], 0, 1)
+        figure1.set_keywords(0, ["SN"])
+        index.note_keywords_changed()
+        assert (0, 1) in index._rows
+        index.insert_vertex(["QP"])
+        assert index._rows == {} and index._row_bytes == 0
+        assert_filters_match_bfs(index, figure1)
+
+    def test_rebuild_resets(self, figure1):
+        index = NLRNLIndex(figure1)
+        index.filter_candidates([1, 2], 0, 1)
+        index.rebuild()
+        assert index._rows == {}
+
+    def test_pickle_drops_the_cache(self, figure1):
+        index = NLRNLIndex(figure1)
+        assert_filters_match_bfs(index, figure1)
+        state = index.__getstate__()
+        assert "_rows" not in state and "_row_lock" not in state
+        clone = pickle.loads(pickle.dumps(index))
+        assert clone._rows == {} and clone._row_bytes == 0
+        assert_filters_match_bfs(clone, clone.graph)
+        far = max(clone.graph.vertices(), key=lambda v: clone.distance_class(0, v))
+        clone.insert_edge(0, far)
+        assert_filters_match_bfs(clone, clone.graph)
+
+
+class TestRowCacheThreads:
+    def test_concurrent_filters_stay_exact_under_eviction(self, monkeypatch):
+        from tests.conftest import make_random_attributed_graph
+
+        graph = make_random_attributed_graph(num_vertices=60, seed=3)
+        n = graph.num_vertices
+        # A budget of a few rows forces constant eviction while threads
+        # build and read rows.
+        monkeypatch.setattr(nlrnl_mod, "ROW_CACHE_BYTES", 6 * n)
+        index = NLRNLIndex(graph)
+        reference = BFSOracle(graph)
+        candidates = list(graph.vertices())
+        expected = {
+            (member, k): reference.filter_candidates(candidates, member, k)
+            for member in graph.vertices()
+            for k in (1, 2, 3)
+        }
+        mismatches: list = []
+
+        def worker(offset):
+            for step in range(300):
+                member, k = (offset * 7 + step) % n, 1 + (offset + step) % 3
+                if index.filter_candidates(candidates, member, k) != expected[(member, k)]:
+                    mismatches.append((member, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert index._row_bytes == sum(len(row) for row in index._rows.values())
+        assert index._row_bytes <= 6 * n
+
+
+class TestLongDistances:
+    """Distances >= 255 switch distance rows to a wider array type."""
+
+    @pytest.fixture(scope="class")
+    def long_path(self):
+        # 0-1-...-299 plus an isolated vertex 300.
+        return AttributedGraph(301, [(i, i + 1) for i in range(299)])
+
+    def test_filter_matches_true_distances(self, long_path):
+        index = NLRNLIndex(long_path)
+        candidates = list(long_path.vertices())
+        for member in (0, 5, 150, 299, 300):
+            for k in (0, 1, 200, 254, 255, 256, 298, 299, 300, 10**9):
+                expected = [
+                    v
+                    for v in candidates
+                    if v != member
+                    and (v == 300 or member == 300 or abs(v - member) > k)
+                ]
+                assert index.filter_candidates(candidates, member, k) == expected
+        assert index._rows[(0, -1)].typecode == "H"
+        assert isinstance(index._rows[(150, -1)], bytes)

@@ -1,6 +1,7 @@
 """Unit tests for index persistence (save/load round trips)."""
 
 import json
+import pickle
 
 import pytest
 
@@ -58,6 +59,25 @@ class TestRoundTrips:
         loaded.insert_edge(*non_edge)
         assert not loaded.is_tenuous(*non_edge, 1)
         graph.remove_edge(*non_edge)  # restore for other assertions
+
+    def test_loaded_nlrnl_filters_through_its_row_cache(self, graph, tmp_path):
+        original = NLRNLIndex(graph)
+        original.filter_candidates(list(graph.vertices()), 0, 2)  # warm rows
+        path = tmp_path / "index.json"
+        save_index(original, path)
+        loaded = load_index(graph, path)
+        reference = BFSOracle(graph)
+        candidates = list(graph.vertices())
+        for member in graph.vertices():
+            for k in (0, 1, 2, 3):
+                assert loaded.filter_candidates(candidates, member, k) == (
+                    reference.filter_candidates(candidates, member, k)
+                )
+        clone = pickle.loads(pickle.dumps(loaded))
+        assert clone._rows == {}
+        assert clone.filter_candidates(candidates, 5, 2) == (
+            reference.filter_candidates(candidates, 5, 2)
+        )
 
 
 class TestFailureModes:

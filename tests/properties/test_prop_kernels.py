@@ -18,6 +18,8 @@ Two contracts, exercised over random graphs and queries:
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 import repro.kernels.solve as solve_mod
@@ -227,7 +229,7 @@ def test_bitset_bruteforce_identical(graph, query):
 def full_stats_profile(stats):
     """Every SearchStats counter except wall time — the full ledger the
     batched solver core must reproduce bit for bit."""
-    profile = vars(stats).copy()
+    profile = dataclasses.asdict(stats)
     profile.pop("elapsed_seconds")
     return profile
 

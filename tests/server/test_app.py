@@ -110,6 +110,41 @@ class TestRouting:
             assert status == 400 and "error" in body
 
 
+class TestMutateLabels:
+    def test_bad_keyword_labels_are_400_and_leave_the_graph_unchanged(self):
+        graph = make_random_attributed_graph(num_vertices=40, seed=11)
+        labels = sorted(graph.keyword_table)
+        with running_server(graph, service_kwargs={"mutations": True}) as (
+            _, service, (host, port), _,
+        ):
+            version = graph.version
+            before = graph.keyword_labels(0)
+            cases = [
+                {"op": "set_keywords", "vertex": 0, "keywords": "abc"},
+                {"op": "set_keywords", "vertex": 0, "keywords": [1]},
+                # Well-formed JSON strings the graph boundary rejects.
+                {"op": "set_keywords", "vertex": 0, "keywords": [""]},
+                {"op": "set_keywords", "vertex": 0, "keywords": ["a\x00b"]},
+                {"op": "add_vertex", "keywords": [""]},
+            ]
+            for payload in cases:
+                status, body = http_request(host, port, "POST", "/mutate", payload)
+                assert status == 400, f"payload={payload!r} body={body}"
+                assert "error" in body
+            assert graph.version == version
+            assert graph.keyword_labels(0) == before
+            status, _ = http_request(
+                host, port, "POST", "/mutate",
+                {"op": "set_keywords", "vertex": 0, "keywords": labels[:2]},
+            )
+            assert status == 200
+            service.epochs.rotate()
+            status, body = http_request(
+                host, port, "POST", "/solve", query_payload(labels[:3])
+            )
+            assert status == 200 and "groups" in body
+
+
 class TestSolve:
     def test_solve_matches_direct_service_answer(self, graph, labels):
         query = KTGQuery(

@@ -197,3 +197,30 @@ class TestServiceResult:
         assert isinstance(served, ServiceResult)
         coverages = [group.coverage for group in served.result.groups]
         assert coverages == sorted(coverages, reverse=True)
+
+
+class TestMutationLabels:
+    """Bad keyword labels fail at the graph boundary, before any epoch
+    bookkeeping, and the service keeps serving afterwards."""
+
+    def test_bad_labels_are_rejected_and_service_keeps_working(self):
+        from repro.core.errors import KeywordLabelError
+
+        graph = make_random_attributed_graph(num_vertices=30, seed=5)
+        labels = sorted(graph.keyword_table)[:3]
+        query = KTGQuery(keywords=tuple(labels), group_size=2, tenuity=1, top_n=2)
+        with QueryService(graph, mutations=True) as service:
+            service.submit(query)
+            version = graph.version
+            for bad in ("abc", [3], [""]):
+                with pytest.raises(KeywordLabelError):
+                    service.set_keywords(0, bad)
+                with pytest.raises(KeywordLabelError):
+                    service.add_vertex(bad)
+            assert graph.version == version
+            assert service.epochs.stats().delta_depth == 0
+            service.set_keywords(0, [labels[0]])
+            service.epochs.rotate()
+            served = service.submit(query)
+            assert served.result.groups
+
