@@ -450,7 +450,7 @@ class BranchAndBoundSolver:
                     remaining,
                     slots,
                     context,
-                    presorted_by_vkc=self.strategy.resorts,
+                    presorted_by_vkc=self.strategy.vkc_descending,
                     use_union_bound=self.use_union_bound,
                 )
             if bound <= pool.threshold:
@@ -614,7 +614,7 @@ class BranchAndBoundSolver:
         masks = context.masks
         covered_bits = covered_mask.bit_count()
         coverage_of = _coverage_values(context.query_size)
-        sorted_by_gain = self.strategy.resorts
+        sorted_by_gain = self.strategy.vkc_descending
         uncovered = ~covered_mask
         gains_list: Optional[list[int]] = None
         if node_batch is not None:

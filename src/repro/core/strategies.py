@@ -49,6 +49,13 @@ class OrderingStrategy(abc.ABC):
     #: solver skips re-sorting entirely (ordering is preserved by the
     #: filtering steps, which keep relative order).
     resorts: bool = True
+    #: Whether every candidate list this strategy hands the solver is
+    #: ordered by valid keyword coverage, descending, for the node's
+    #: covered mask.  Only then may the solver take Theorem 2's bound as
+    #: the head-sum and stop a leaf scan at the first completion the pool
+    #: rejects; any other order (even one that re-sorts) needs the full
+    #: scan to stay exact.
+    vkc_descending: bool = False
 
     @abc.abstractmethod
     def initial_order(self, candidates: list[int], context: CoverageContext) -> list[int]:
@@ -142,6 +149,7 @@ class VKCOrdering(_MemoizedKeyOrdering):
     """
 
     name = "vkc"
+    vkc_descending = True
 
     def sort_key(self, covered_mask: int, context: CoverageContext) -> Callable[[int], int]:
         masks = context.masks
@@ -169,6 +177,7 @@ class VKCDegreeOrdering(_MemoizedKeyOrdering):
     """
 
     name = "vkc-deg"
+    vkc_descending = True
 
     def __init__(
         self,

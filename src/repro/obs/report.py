@@ -33,9 +33,13 @@ def search_stats_row(stats) -> dict:
 
 
 def oracle_usage_row(oracle) -> dict:
-    """Flatten an oracle's :class:`OracleStats` into one dict row."""
+    """Flatten an oracle's :class:`OracleStats` into one dict row.
+
+    ``repaired_vertices`` — vertices rebuilt by incremental edge repairs
+    (NL and NLRNL) — is included once the oracle has counted any.
+    """
     stats = oracle.stats
-    return {
+    row = {
         "oracle": oracle.name,
         "entries": stats.entries,
         "build_seconds": round(stats.build_seconds, 4),
@@ -45,6 +49,9 @@ def oracle_usage_row(oracle) -> dict:
         "memo_misses": stats.memo_misses,
         "memo_hit_rate": round(stats.memo_hit_rate, 4),
     }
+    if "repaired_vertices" in stats.extra:
+        row["repaired_vertices"] = stats.extra["repaired_vertices"]
+    return row
 
 
 def solve_report(result, oracle=None, instruments=None) -> dict:

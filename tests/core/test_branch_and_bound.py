@@ -1,12 +1,20 @@
 """Unit tests for the branch-and-bound solver (Algorithm 1 variants)."""
 
+import random
+
 import pytest
 
 from repro.core.branch_and_bound import BranchAndBoundSolver, make_solver
 from repro.core.bruteforce import BruteForceSolver
 from repro.core.coverage import CoverageContext
+from repro.core.graph import AttributedGraph
 from repro.core.query import KTGQuery
-from repro.core.strategies import QKCOrdering, VKCDegreeOrdering, VKCOrdering
+from repro.core.strategies import (
+    OrderingStrategy,
+    QKCOrdering,
+    VKCDegreeOrdering,
+    VKCOrdering,
+)
 from repro.index.bfs import BFSOracle
 from repro.index.nl import NLIndex
 from repro.index.nlrnl import NLRNLIndex
@@ -222,3 +230,50 @@ class TestFactory:
         solver = make_solver(figure1, "vkc", keyword_pruning=False)
         assert isinstance(solver.strategy, VKCOrdering)
         assert solver.keyword_pruning is False
+
+
+class AscendingDegreeOrdering(OrderingStrategy):
+    """A public-API strategy that re-sorts, but not by VKC."""
+
+    name = "asc-degree"
+
+    def __init__(self, degrees):
+        self._degrees = degrees
+
+    def initial_order(self, candidates, context):
+        return sorted(candidates, key=self._degrees.__getitem__)
+
+    def reorder(self, candidates, covered_mask, context):
+        return sorted(candidates, key=self._degrees.__getitem__)
+
+
+class TestCustomStrategies:
+    def test_only_vkc_orders_claim_vkc_descending(self, figure1):
+        assert VKCOrdering().vkc_descending
+        assert VKCDegreeOrdering(figure1.degrees()).vkc_descending
+        assert not QKCOrdering().vkc_descending
+        strategy = AscendingDegreeOrdering(figure1.degrees())
+        assert strategy.resorts and not strategy.vkc_descending
+
+    def test_resorting_custom_strategy_stays_exact(self):
+        # A strategy that re-sorts by something other than VKC must get
+        # the scanning Theorem-2 bound and a full leaf scan: head-sum
+        # bounds and early leaf breaks would prune admissible groups.
+        rng = random.Random(14)
+        pool = ["a", "b", "c", "d", "e", "f", "g"]
+        for _ in range(200):
+            n = 14
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, rng.randrange(2 * n))
+            keywords = {v: rng.sample(pool, rng.randrange(4)) for v in range(n)}
+            graph = AttributedGraph(n, edges, keywords)
+            query = KTGQuery(
+                keywords=tuple(rng.sample(pool, 5)), group_size=3, tenuity=1, top_n=2
+            )
+            solver = BranchAndBoundSolver(
+                graph,
+                oracle=NLRNLIndex(graph),
+                strategy=AscendingDegreeOrdering(graph.degrees()),
+            )
+            expected = BruteForceSolver(graph).solve(query)
+            assert coverages(solver.solve(query)) == coverages(expected)

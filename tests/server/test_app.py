@@ -145,6 +145,33 @@ class TestMutateLabels:
             assert status == 200 and "groups" in body
 
 
+class TestMutateRepairs:
+    def test_stats_report_repaired_vertices(self):
+        graph = make_random_attributed_graph(num_vertices=40, seed=11)
+        labels = sorted(graph.keyword_table)
+        u, v = next(
+            (u, v) for u in graph.vertices() for v in graph.vertices()
+            if u < v and not graph.has_edge(u, v)
+        )
+        with running_server(graph, service_kwargs={"mutations": True}) as (
+            _, _, (host, port), _,
+        ):
+            # The oracle is built by the first solve; edits before that
+            # have nothing to repair.
+            status, _ = http_request(host, port, "POST", "/solve", query_payload(labels[:3]))
+            assert status == 200
+            _, body = http_request(host, port, "GET", "/stats")
+            assert "repaired_vertices" not in body["oracle"]
+            for op in ("add_edge", "remove_edge"):
+                status, _ = http_request(
+                    host, port, "POST", "/mutate", {"op": op, "u": u, "v": v}
+                )
+                assert status == 200
+            _, body = http_request(host, port, "GET", "/stats")
+            # Both edits rebuild at least the two endpoints.
+            assert body["oracle"]["repaired_vertices"] >= 4
+
+
 class TestSolve:
     def test_solve_matches_direct_service_answer(self, graph, labels):
         query = KTGQuery(
