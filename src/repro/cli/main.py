@@ -109,26 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs-executor",
         default="process",
         choices=["process", "thread", "inline"],
-        help="fleet kind used when --jobs > 1 or --shards > 1",
-    )
-    query.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "partition the graph into N shards and scatter-gather the "
-            "solve across per-shard fleets (1 = unsharded; results stay "
-            "bit-identical)"
-        ),
-    )
-    query.add_argument(
-        "--shard-radius",
-        type=int,
-        default=None,
-        help=(
-            "boundary-ball replication radius for --shards > 1 "
-            "(default: max(2, tenuity))"
-        ),
+        help="fleet kind used when --jobs > 1",
     )
     query.add_argument(
         "--distance-engine",
@@ -370,12 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--scale", type=float, default=1.0)
             sub.add_argument("--seed", type=int, default=None)
             sub.add_argument(
-                "--shards",
-                type=int,
-                default=None,
-                help="serve this tenant through an N-shard scatter-gather engine",
-            )
-            sub.add_argument(
                 "--algorithm",
                 default=None,
                 choices=sorted(ALGORITHMS),
@@ -577,31 +552,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     oracle = spec.build_oracle(
         graph, graph_layout=args.graph_layout, kernel_backend=args.kernel_backend
     )
-    if args.shards > 1 and not spec.diversified:
-        from repro.shard import ShardedBranchAndBoundSolver
-
-        radius = args.shard_radius
-        if radius is None:
-            radius = max(2, args.tenuity)
-        with ShardedBranchAndBoundSolver(
-            graph,
-            oracle=oracle,
-            strategy=strategy_by_name(spec.strategy_name, graph),
-            num_shards=args.shards,
-            radius=radius,
-            executor=args.jobs_executor,
-            jobs_per_shard=max(1, args.jobs),
-            distance_engine=args.distance_engine,
-            kernel_backend=args.kernel_backend,
-        ) as engine:
-            result = engine.solve(query)
-        print(result)
-        print(
-            f"(latency: {result.stats.elapsed_seconds * 1000:.1f} ms, "
-            f"shards={result.shards}, radius={result.radius}, "
-            f"executor={result.executor}, subproblems={result.subproblems})"
-        )
-        return 0
     if args.jobs > 1 and not spec.diversified:
         from repro.core.parallel import ParallelBranchAndBoundSolver
 
@@ -724,7 +674,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     graph_registry = None
     if args.graphs is not None:
-        from repro.shard import GraphRegistry
+        from repro.service import GraphRegistry
 
         graph_registry = GraphRegistry(
             instruments=registry,
@@ -805,8 +755,6 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
         payload: dict = {"name": args.name, "profile": args.profile, "scale": args.scale}
         if args.seed is not None:
             payload["seed"] = args.seed
-        if args.shards is not None:
-            payload["shards"] = args.shards
         if args.algorithm is not None:
             payload["algorithm"] = args.algorithm
         status, body = http_request(args.host, args.port, "POST", "/graphs/load", payload)

@@ -23,7 +23,7 @@ __all__ = [
     "SnapshotAttachError",
     "EpochError",
     "KernelBackendError",
-    "ShardError",
+    "RegistryError",
     "UnknownGraphError",
     "DatasetError",
     "WorkloadError",
@@ -131,15 +131,15 @@ class KernelBackendError(ReproError, RuntimeError):
     """
 
 
-class ShardError(ReproError):
-    """Raised for invalid shard partitioning or registry operations.
+class RegistryError(ReproError):
+    """Raised for invalid multi-graph registry operations.
 
-    Examples: sharding an empty graph, a replication radius below 1, or
-    loading a registry entry without a dataset profile or graph.
+    Examples: loading a registry entry without a name, or without a
+    dataset profile or graph.
     """
 
 
-class UnknownGraphError(ShardError, KeyError):
+class UnknownGraphError(RegistryError, KeyError):
     """Raised when a registry operation names a graph never loaded."""
 
     def __init__(self, name: str) -> None:

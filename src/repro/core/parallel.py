@@ -907,9 +907,7 @@ def aggregate_subproblem_stats(
 
     *outcomes* must be in root-position order: node renumbering assigns
     each subtree the id range the serial search would have used, so
-    ``first_feasible_node`` matches serial bit for bit.  Shared by the
-    jobs-based engine and the sharded scatter-gather executor
-    (:mod:`repro.shard`), whose merged ledgers must agree.
+    ``first_feasible_node`` matches serial bit for bit.
     """
     total = SearchStats()
     # The serial root expands exactly one interior node (degenerate

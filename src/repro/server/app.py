@@ -61,8 +61,9 @@ from repro.server.http import (
     read_request,
 )
 from repro.server.ratelimit import RateLimiter
+from repro.service.registry import GraphRegistry
 from repro.service.service import QueryService, ServiceResult
-from repro.shard.registry import GraphRegistry
+from repro.workloads.runner import ALGORITHMS
 
 __all__ = ["KTGServer"]
 
@@ -157,7 +158,7 @@ class KTGServer:
         partial (degraded) answers before it starts rejecting.
         ``pressure_threshold=None`` (default) disables the band.
     registry:
-        Optional :class:`~repro.shard.registry.GraphRegistry` enabling
+        Optional :class:`~repro.service.registry.GraphRegistry` enabling
         multi-graph serving: a ``graph`` field on ``/solve``/``/batch``
         /``/mutate`` payloads routes the request to that tenant's own
         service, ``GET /graphs`` lists the tenants, ``POST
@@ -438,15 +439,14 @@ class KTGServer:
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise HttpError(400, "'seed' must be an integer")
         overrides: dict = {}
-        if "shards" in payload:
-            shards = payload["shards"]
-            if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-                raise HttpError(400, "'shards' must be an integer >= 1")
-            overrides["shards"] = shards
         if "algorithm" in payload:
             algorithm = payload["algorithm"]
-            if not isinstance(algorithm, str) or not algorithm:
-                raise HttpError(400, "'algorithm' must be a non-empty string")
+            if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
+                raise HttpError(
+                    400,
+                    f"unknown 'algorithm' {algorithm!r}; available: "
+                    + ", ".join(sorted(ALGORITHMS)),
+                )
             overrides["algorithm"] = algorithm
 
         # Dataset generation + service construction block; run them on
@@ -472,7 +472,7 @@ class KTGServer:
         if not isinstance(name, str) or not name:
             raise HttpError(400, "'name' must be a non-empty string")
         try:
-            # close() drains the tenant's pools and releases any shard
+            # close() drains the tenant's pools and releases any shared
             # segments — solver-pool work, not event-loop work.
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(

@@ -25,15 +25,14 @@ responses, at least one observed epoch rotation, a read-only control
 server rejecting ``/mutate`` with 400, and the same thread/shm leak
 checks on the way out.
 
-``python -m repro.server.smoke --shard`` runs the multi-graph lane: a
-registry-backed server has two tenants loaded over the wire (one of
-them sharded, ``shards=2`` with a process fleet), interleaved solves
-must never share a cache entry or a coalesced solve across tenants,
-the sharded tenant's answers must equal its unsharded twin's
-bit-for-bit, ``/graphs`` list/load/drop and ``/stats?graph=`` are
-exercised, shard shared-memory segments must appear while the process
-fleet is up and vanish when the tenant is dropped, and the same
-thread/shm leak checks run on the way out.
+``python -m repro.server.smoke --registry`` runs the multi-graph lane:
+a registry-backed server has two same-dataset tenants loaded over the
+wire, interleaved solves must never share a cache entry or a coalesced
+solve across tenants, every tenant must answer the same groups,
+``/graphs`` list/load/drop and ``/stats?graph=`` are exercised, a load
+naming an unknown algorithm is rejected with 400 without disturbing
+the server, a dropped tenant answers 404, and the same thread/shm leak
+checks run on the way out.
 
 Exit code 0 on success, 1 with a diagnostic on the first failure.
 """
@@ -52,10 +51,10 @@ from repro.obs.instruments import InstrumentRegistry
 from repro.server.app import KTGServer
 from repro.server.client import http_request
 from repro.server.runner import ServerThread
+from repro.service.registry import GraphRegistry
 from repro.service.service import QueryService
-from repro.shard.registry import GraphRegistry
 
-__all__ = ["main", "churn_main", "shard_main"]
+__all__ = ["main", "churn_main", "registry_main"]
 
 
 def _shm_segments() -> set[str]:
@@ -337,15 +336,14 @@ def churn_main() -> int:
     return 0
 
 
-def shard_main() -> int:
-    """The ``--shard`` lane: multi-graph serving with a sharded tenant.
+def registry_main() -> int:
+    """The ``--registry`` lane: multi-graph serving over the wire.
 
-    Asserts the registry contract end to end over the wire: tenants are
-    isolated (no cross-tenant cache hits or coalesced solves even for
-    byte-identical queries), a ``shards=2`` tenant answers bit-for-bit
-    what its unsharded twin answers, the ``/graphs`` lifecycle
-    endpoints work, shard segments live exactly as long as the tenant
-    that owns them, and shutdown leaks neither threads nor shm.
+    Asserts the registry contract end to end: tenants are isolated (no
+    cross-tenant cache hits or coalesced solves even for byte-identical
+    queries over identical graphs), the ``/graphs`` lifecycle endpoints
+    work, a bad load is a clean 400, a dropped tenant is gone, and
+    shutdown leaks neither threads nor shm.
     """
     checks: list[str] = []
 
@@ -366,13 +364,8 @@ def shard_main() -> int:
     service = QueryService(
         graph, "KTG-VKC-NLRNL", max_workers=4, instruments=registry
     )
-    # Every tenant the registry creates defaults to a process fleet for
-    # its sharded engine (only the shards>1 tenant ever builds one).
     graphs = GraphRegistry(
-        instruments=registry,
-        algorithm="KTG-VKC-NLRNL",
-        max_workers=2,
-        jobs_executor="process",
+        instruments=registry, algorithm="KTG-VKC-NLRNL", max_workers=2
     )
     server = KTGServer(
         service, registry=graphs, max_inflight=16, instruments=registry
@@ -386,26 +379,21 @@ def shard_main() -> int:
             return fail("graphs-empty", f"status={status} body={body}")
         ok("GET /graphs starts empty")
 
-        # Two same-dataset tenants — one sharded, one not — plus the
-        # default service: three services over identical graphs is the
-        # worst case for cross-tenant cache collisions.
-        status, plain = http_request(
-            host, port, "POST", "/graphs/load",
-            {"name": "plain", "profile": "brightkite", "scale": 0.08},
-        )
-        if status != 200 or not plain or plain.get("graph_id") != "plain#1":
-            return fail("load-plain", f"status={status} body={plain}")
-        status, sharded = http_request(
-            host, port, "POST", "/graphs/load",
-            {"name": "sharded", "profile": "brightkite", "scale": 0.08, "shards": 2},
-        )
-        if status != 200 or not sharded or sharded.get("graph_id") != "sharded#1":
-            return fail("load-sharded", f"status={status} body={sharded}")
-        ok("two tenants loaded over the wire (one with shards=2)")
+        # Two same-dataset tenants plus the default service: three
+        # services over identical graphs is the worst case for
+        # cross-tenant cache collisions.
+        for name in ("alpha", "beta"):
+            status, body = http_request(
+                host, port, "POST", "/graphs/load",
+                {"name": name, "profile": "brightkite", "scale": 0.08},
+            )
+            if status != 200 or not body or body.get("graph_id") != f"{name}#1":
+                return fail("load-tenant", f"{name}: status={status} body={body}")
+        ok("two same-dataset tenants loaded over the wire")
 
         query = _query_payload(labels[:3])
         answers: dict[str, dict] = {}
-        for tenant in (None, "plain", "sharded", "plain", "sharded"):
+        for tenant in (None, "alpha", "beta", "alpha", "beta"):
             payload = dict(query) if tenant is None else dict(query, graph=tenant)
             status, body = http_request(host, port, "POST", "/solve", payload)
             if status != 200 or not body:
@@ -425,36 +413,28 @@ def shard_main() -> int:
                 answers[key] = body
         ok("interleaved solves: zero cross-tenant cache hits, per-tenant repeats hit")
 
-        if answers["sharded"]["groups"] != answers["plain"]["groups"]:
-            return fail(
-                "shard-identical",
-                f"sharded={answers['sharded']['groups']} plain={answers['plain']['groups']}",
-            )
-        if answers["sharded"]["groups"] != answers["default"]["groups"]:
-            return fail("shard-identical", "sharded tenant diverged from default service")
-        ok("sharded tenant answers bit-identical groups to its unsharded twin")
+        groups = {key: body["groups"] for key, body in answers.items()}
+        if len({repr(value) for value in groups.values()}) != 1:
+            return fail("tenant-identical", f"tenants diverged: {groups}")
+        ok("same-dataset tenants answer identical groups")
 
-        # The process fleet pins its shard CSR segments in /dev/shm for
-        # exactly as long as the tenant lives.
-        shard_segments = _shm_segments() - baseline_shm
-        if len(shard_segments) < 2:
-            return fail(
-                "shard-segments",
-                f"expected >= 2 live shard segments, saw {sorted(shard_segments)}",
-            )
-        ok(f"{len(shard_segments)} shard segments live while the process fleet is up")
-
-        status, body = http_request(host, port, "GET", "/stats?graph=sharded")
-        if status != 200 or not body or body.get("graph_id") != "sharded#1":
+        status, body = http_request(host, port, "GET", "/stats?graph=beta")
+        if status != 200 or not body or body.get("graph_id") != "beta#1":
             return fail("stats-graph", f"status={status} body-keys={sorted(body or {})}")
-        shard_report = body.get("shard") or []
-        if not shard_report or shard_report[0].get("num_shards") != 2:
-            return fail("stats-shard", f"shard section missing/wrong: {shard_report}")
-        if not shard_report[0].get("built") or shard_report[0].get("executor") != "process":
-            return fail("stats-shard", f"engine not built as a process fleet: {shard_report}")
         if len(body.get("graphs", [])) != 2:
             return fail("stats-graphs", f"registry listing wrong: {body.get('graphs')}")
-        ok("GET /stats?graph= scopes the report and exports the shard engine")
+        ok("GET /stats?graph= scopes the report to its tenant")
+
+        status, body = http_request(
+            host, port, "POST", "/graphs/load",
+            {"name": "bad", "profile": "brightkite", "scale": 0.05, "algorithm": "nope"},
+        )
+        if status != 400 or not body or "KTG-VKC-NLRNL" not in body.get("error", ""):
+            return fail("load-bad-algorithm", f"status={status} body={body}")
+        status, body = http_request(host, port, "GET", "/graphs")
+        if status != 200 or not body or "bad" in {row["name"] for row in body["graphs"]}:
+            return fail("load-bad-algorithm", f"after 400: status={status} body={body}")
+        ok("unknown algorithm on /graphs/load answers 400 and registers nothing")
 
         status, body = http_request(
             host, port, "POST", "/solve", dict(query, graph="missing")
@@ -464,24 +444,26 @@ def shard_main() -> int:
         ok("unknown tenant answers 404")
 
         status, body = http_request(
-            host, port, "POST", "/graphs/drop", {"name": "sharded"}
+            host, port, "POST", "/graphs/drop", {"name": "beta"}
         )
         if status != 200 or not body or not body.get("dropped"):
             return fail("drop", f"status={status} body={body}")
-        leftover = _shm_segments() - baseline_shm
-        if leftover:
-            return fail("drop-segments", f"segments survived the drop: {sorted(leftover)}")
-        ok("dropping the sharded tenant releases its segments")
+        status, body = http_request(
+            host, port, "POST", "/solve", dict(query, graph="beta")
+        )
+        if status != 404:
+            return fail("drop-404", f"dropped tenant still served: status={status}")
+        ok("a dropped tenant answers 404")
 
         # Reload under the same name: new generation, cold cache.
         status, body = http_request(
             host, port, "POST", "/graphs/load",
-            {"name": "plain", "profile": "brightkite", "scale": 0.08},
+            {"name": "alpha", "profile": "brightkite", "scale": 0.08},
         )
-        if status != 200 or not body or body.get("graph_id") != "plain#2":
+        if status != 200 or not body or body.get("graph_id") != "alpha#2":
             return fail("reload", f"status={status} body={body}")
         status, body = http_request(
-            host, port, "POST", "/solve", dict(query, graph="plain")
+            host, port, "POST", "/solve", dict(query, graph="alpha")
         )
         if status != 200 or not body or body.get("from_cache"):
             return fail(
@@ -490,7 +472,7 @@ def shard_main() -> int:
             )
         ok("reloading a name bumps the generation and colds the cache")
 
-        # A registry-less control server keeps the old single-graph
+        # A registry-less control server keeps the single-graph
         # contract: graph surfaces answer 400, never 5xx.
         control_service = QueryService(graph, "KTG-VKC-NLRNL", max_workers=1)
         with control_service, ServerThread(KTGServer(control_service)) as control:
@@ -499,7 +481,7 @@ def shard_main() -> int:
             if status != 400:
                 return fail("control-graphs", f"status={status}")
             status, _ = http_request(
-                chost, cport, "POST", "/solve", dict(query, graph="plain")
+                chost, cport, "POST", "/solve", dict(query, graph="alpha")
             )
             if status != 400:
                 return fail("control-solve", f"status={status}")
@@ -520,15 +502,15 @@ def shard_main() -> int:
         return fail("shutdown-shm", f"leaked segments: {sorted(leaked)}")
     ok("no leaked /dev/shm segments")
 
-    print(f"shard smoke: all {len(checks)} checks passed")
+    print(f"registry smoke: all {len(checks)} checks passed")
     return 0
 
 
 def _entry_point() -> int:
     if "--churn" in sys.argv[1:]:
         return churn_main()
-    if "--shard" in sys.argv[1:]:
-        return shard_main()
+    if "--registry" in sys.argv[1:]:
+        return registry_main()
     return main()
 
 

@@ -13,18 +13,23 @@ KTG/DKTG solvers:
 * :class:`~repro.service.service.ServiceResult` /
   :class:`~repro.service.service.ServiceStats` — per-query provenance
   (exactness, budget exhaustion, cache hit, latency) and aggregate
-  serving metrics (hit rate, p50/p95/p99 latency, degraded count).
+  serving metrics (hit rate, p50/p95/p99 latency, degraded count);
+* :class:`~repro.service.registry.GraphRegistry` — many named graphs in
+  one process, each with its own service and a stable ``graph_id``.
 
 See ``docs/service.md`` for the architecture and degradation semantics.
 """
 
 from repro.service.cache import CacheStats, ResultCache, canonical_query_key
+from repro.service.registry import GraphRegistry, RegisteredGraph
 from repro.service.service import QueryService, ServiceResult, ServiceStats
 
 __all__ = [
     "CacheStats",
     "ResultCache",
     "canonical_query_key",
+    "GraphRegistry",
+    "RegisteredGraph",
     "QueryService",
     "ServiceResult",
     "ServiceStats",

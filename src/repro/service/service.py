@@ -16,7 +16,7 @@ DKTG queries submitted singly or in batches:
   Graph mutations bump the version, so stale entries can never be
   returned; the stable ``graph_id`` keeps cache keys distinct across
   *different* graphs that happen to share a version counter (the
-  multi-tenant registry, :class:`repro.shard.GraphRegistry`, issues one
+  multi-tenant registry, :class:`repro.service.GraphRegistry`, issues one
   id per load generation).
 * **Admission control / graceful degradation** — service-level
   ``time_budget`` / ``node_budget`` defaults are applied to every
@@ -54,8 +54,6 @@ from repro.index.base import DistanceOracle
 from repro.obs.instruments import NULL_REGISTRY, InstrumentRegistry
 from repro.service.cache import ResultCache, canonical_query_key
 from repro.service.reservoir import DEFAULT_RESERVOIR_CAPACITY, LatencyReservoir
-from repro.shard.executor import ShardedBranchAndBoundSolver
-from repro.shard.partition import DEFAULT_SHARD_RADIUS
 from repro.workloads.runner import (
     ALGORITHMS,
     AlgorithmSpec,
@@ -249,25 +247,15 @@ class QueryService:
     jobs_executor:
         Fleet kind for per-query parallelism: ``"process"`` (default),
         ``"thread"`` or ``"inline"`` (see
-        :data:`repro.core.parallel.EXECUTORS`).  Also selects the
-        executor of any sharded engine (``shards > 1``).
+        :data:`repro.core.parallel.EXECUTORS`).
     graph_id:
         Stable identity of *this* graph, mixed into the result-cache
         and engine-cache keys.  Two services over different graphs that
         share a ``version`` counter (every freshly built graph starts
         at 0) must carry distinct ids or a shared coalescing layer
         could serve one tenant the other's groups.
-        :class:`repro.shard.GraphRegistry` issues ``"{name}#{gen}"``
+        :class:`repro.service.GraphRegistry` issues ``"{name}#{gen}"``
         ids automatically.
-    shards / shard_radius:
-        Default per-query sharding: with ``shards > 1`` each solve
-        scatters its root frontier across per-shard solver fleets
-        (:class:`repro.shard.ShardedBranchAndBoundSolver`, bit-identical
-        results) built from a community partition with
-        ``shard_radius``-hop boundary replication.  Like ``jobs``, the
-        default can be overridden per call; diversified specs ignore
-        it.  Incompatible with ``mutations=True`` (shard sets freeze
-        one version at a time).
     cache_capacity:
         LRU result-cache size; ``0`` disables caching.
     distance_engine:
@@ -329,8 +317,6 @@ class QueryService:
         jobs: int = 1,
         jobs_executor: str = "process",
         graph_id: str = "default",
-        shards: int = 1,
-        shard_radius: int = DEFAULT_SHARD_RADIUS,
         cache_capacity: int = 1024,
         distance_engine: str = "oracle",
         graph_layout: str = "adjacency",
@@ -369,21 +355,10 @@ class QueryService:
             raise ValueError(
                 f"jobs_executor must be one of {EXECUTORS}, got {jobs_executor!r}"
             )
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shard_radius < 1:
-            raise ValueError(f"shard_radius must be >= 1, got {shard_radius}")
-        if mutations and shards > 1:
-            raise ValueError(
-                "mutations=True is incompatible with shards > 1: shard sets "
-                "freeze one graph version per partition build"
-            )
         if not graph_id:
             raise ValueError("graph_id must be a non-empty string")
         self.graph = graph
         self.graph_id = graph_id
-        self.shards = shards
-        self.shard_radius = shard_radius
         self.spec = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
         self.max_workers = max_workers
         self.executor_kind = executor
@@ -398,9 +373,7 @@ class QueryService:
 
         self.kernel_backend = validate_kernel_backend(kernel_backend)
         self._kernel = None
-        self._engines: dict[
-            tuple, Union[ParallelBranchAndBoundSolver, ShardedBranchAndBoundSolver]
-        ] = {}
+        self._engines: dict[tuple, ParallelBranchAndBoundSolver] = {}
         # Lazy-init guards: concurrent submit/run_batch calls race to
         # build the parallel-engine cache and the worker pool; without
         # these locks the losers leaked whole pools (process fleets hold
@@ -479,15 +452,12 @@ class QueryService:
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
         jobs: Optional[int] = None,
-        shards: Optional[int] = None,
     ) -> ServiceResult:
         """Answer one query (cache-first, sequential).
 
         ``jobs`` overrides the service-level default for this call only;
         with ``jobs > 1`` the solve fans out across a parallel
         branch-and-bound fleet (bit-identical results, lower latency).
-        ``shards`` does the same for the scatter-gather sharded engine
-        and takes precedence over ``jobs`` when both exceed 1.
         """
         query = self._lift(query)
         return self._serve_one(
@@ -495,7 +465,6 @@ class QueryService:
             time_budget if time_budget is not None else self.time_budget,
             node_budget if node_budget is not None else self.node_budget,
             jobs if jobs is not None else self.jobs,
-            shards if shards is not None else self.shards,
         )
 
     def run_batch(
@@ -506,7 +475,6 @@ class QueryService:
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
         jobs: Optional[int] = None,
-        shards: Optional[int] = None,
     ) -> list[ServiceResult]:
         """Answer a workload (or any query iterable), in input order.
 
@@ -525,15 +493,11 @@ class QueryService:
         tb = time_budget if time_budget is not None else self.time_budget
         nb = node_budget if node_budget is not None else self.node_budget
         per_query_jobs = jobs if jobs is not None else self.jobs
-        per_query_shards = shards if shards is not None else self.shards
 
-        if per_query_jobs > 1 or per_query_shards > 1:
+        if per_query_jobs > 1:
             # Per-query parallelism owns the hardware: queries run one
             # after another, each using the whole fleet.
-            return [
-                self._serve_one(q, tb, nb, per_query_jobs, per_query_shards)
-                for q in lifted
-            ]
+            return [self._serve_one(q, tb, nb, per_query_jobs) for q in lifted]
         if not parallel or self.max_workers == 1 or len(lifted) <= 1:
             return [self._serve_one(query, tb, nb) for query in lifted]
         if self.executor_kind == "process":
@@ -668,32 +632,6 @@ class QueryService:
                 "snapshot_bytes": cached.nbytes if cached is not None else 0,
                 **counter_totals(),
             }
-        with self._engines_lock:
-            shard_engines = [
-                engine
-                for engine in self._engines.values()
-                if isinstance(engine, ShardedBranchAndBoundSolver)
-            ]
-        if shard_engines:
-            report["shard"] = [
-                {
-                    "num_shards": engine.num_shards,
-                    "radius": engine.radius,
-                    "executor": engine.executor_kind,
-                    "jobs_per_shard": engine.jobs_per_shard,
-                    "built": engine.shard_set is not None,
-                    "effective_shards": (
-                        engine.shard_set.num_shards if engine.shard_set else 0
-                    ),
-                    "replica_vertices": (
-                        engine.shard_set.replica_vertices if engine.shard_set else 0
-                    ),
-                    "snapshot_bytes": (
-                        engine.shard_set.snapshot_bytes if engine.shard_set else 0
-                    ),
-                }
-                for engine in shard_engines
-            ]
         if self._epochs is not None:
             from repro.core.epoch import counter_totals as epoch_counter_totals
 
@@ -815,38 +753,7 @@ class QueryService:
                     instruments=self.instruments,
                 )
                 self._engines[key] = engine
-        return engine  # type: ignore[return-value]
-
-    def _shard_engine(self, shards: int) -> ShardedBranchAndBoundSolver:
-        """Cached scatter-gather engine at the given partition width.
-
-        Keyed by ``(graph_id, "shards", shards, graph.version)`` with
-        the same stale-eviction and single-construction guarantees as
-        :meth:`_parallel_engine`.  The engine builds its own router
-        stack per shard — the service's shared kernel wraps the global
-        oracle and cannot serve the shard views.
-        """
-        key = (self.graph_id, "shards", shards, self.graph.version)
-        with self._engines_lock:
-            engine = self._engines.get(key)
-            if engine is None:
-                self._evict_stale_engines_locked()
-                oracle = self._ensure_oracle()
-                engine = ShardedBranchAndBoundSolver(
-                    self.graph,
-                    oracle=oracle,
-                    strategy=strategy_by_name(self.spec.strategy_name, self.graph),
-                    num_shards=shards,
-                    radius=self.shard_radius,
-                    executor=self.jobs_executor,
-                    jobs_per_shard=1,
-                    distance_engine=self.distance_engine,
-                    graph_layout=self.graph_layout,
-                    kernel_backend=self.kernel_backend,
-                    instruments=self.instruments,
-                )
-                self._engines[key] = engine
-        return engine  # type: ignore[return-value]
+        return engine
 
     def _serve_one(
         self,
@@ -854,7 +761,6 @@ class QueryService:
         time_budget: Optional[float],
         node_budget: Optional[int],
         jobs: int = 1,
-        shards: int = 1,
     ) -> ServiceResult:
         # Epoch mode: the whole serve (key computation included — it
         # reads graph.version) runs under the manager's read gate, so no
@@ -862,10 +768,8 @@ class QueryService:
         # are shared; only the brief mutation applies exclude them.
         if self._epochs is not None:
             with self._epochs.read():
-                return self._serve_one_locked(
-                    query, time_budget, node_budget, jobs, shards
-                )
-        return self._serve_one_locked(query, time_budget, node_budget, jobs, shards)
+                return self._serve_one_locked(query, time_budget, node_budget, jobs)
+        return self._serve_one_locked(query, time_budget, node_budget, jobs)
 
     def _serve_one_locked(
         self,
@@ -873,7 +777,6 @@ class QueryService:
         time_budget: Optional[float],
         node_budget: Optional[int],
         jobs: int = 1,
-        shards: int = 1,
     ) -> ServiceResult:
         started = time.perf_counter()
         key = self._cache_key(query)
@@ -892,13 +795,7 @@ class QueryService:
             self._record(served)
             return served
         self._cache_miss_counter.inc()
-        if shards > 1 and not self.spec.diversified:
-            shard_engine = self._shard_engine(shards)
-            solve_started = time.perf_counter()
-            result = shard_engine.solve(
-                query, node_budget=node_budget, time_budget=time_budget
-            )
-        elif jobs > 1 and not self.spec.diversified:
+        if jobs > 1 and not self.spec.diversified:
             engine = self._parallel_engine(jobs)
             solve_started = time.perf_counter()
             result = engine.solve(

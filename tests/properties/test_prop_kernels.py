@@ -12,8 +12,8 @@ Two contracts, exercised over random graphs and queries:
 * **Backend equivalence** — the two kernel backends (scalar vs numpy,
   which on numpy also engages the batched expansion core of
   :mod:`repro.kernels.solve`) return identical ranked groups and
-  identical :class:`SearchStats` ledgers, across strategies, serial /
-  parallel / sharded engines, and jobs / shards counts.
+  identical :class:`SearchStats` ledgers, across strategies, serial and
+  parallel engines, and jobs counts.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.index.nlrnl import NLRNLIndex
 from repro.index.pll import PLLIndex
 from repro.kernels import BallBitsetEngine
 from repro.kernels.vec import numpy_available
-from repro.shard import ShardedBranchAndBoundSolver
 
 KEYWORD_POOL = ["a", "b", "c", "d", "e", "f"]
 
@@ -234,38 +233,18 @@ def full_stats_profile(stats):
     return profile
 
 
-def _backend_solve(graph, query, strategy_factory, backend, engine_kind, width):
-    if engine_kind == "serial":
-        return BranchAndBoundSolver(
-            graph,
-            oracle=BFSOracle(graph),
-            strategy=strategy_factory(graph),
-            distance_engine="bitset",
-            kernel_backend=backend,
-        ).solve(query)
-    if engine_kind == "parallel":
-        # bound_broadcast off: cross-chunk floor updates are timing
-        # dependent, and the sweep pins the FULL stats ledger.
-        with ParallelBranchAndBoundSolver(
-            graph,
-            oracle=BFSOracle(graph),
-            strategy=strategy_factory(graph),
-            jobs=width,
-            executor="inline" if width == 1 else "thread",
-            distance_engine="bitset",
-            kernel_backend=backend,
-            bound_broadcast=False,
-        ) as engine:
-            return engine.solve(query)
-    with ShardedBranchAndBoundSolver(
+def _parallel_solve(graph, query, strategy_factory, backend, jobs):
+    # bound_broadcast off: cross-chunk floor updates are timing
+    # dependent, and the sweep pins the FULL stats ledger.
+    with ParallelBranchAndBoundSolver(
         graph,
         oracle=BFSOracle(graph),
         strategy=strategy_factory(graph),
-        num_shards=width,
-        executor="inline",
-        bound_broadcast=False,
+        jobs=jobs,
+        executor="inline" if jobs == 1 else "thread",
         distance_engine="bitset",
         kernel_backend=backend,
+        bound_broadcast=False,
     ) as engine:
         return engine.solve(query)
 
@@ -275,9 +254,7 @@ def _backend_solve(graph, query, strategy_factory, backend, engine_kind, width):
     graph=attributed_graphs(),
     query=queries(),
     strategy_index=st.integers(0, 2),
-    engine_pick=st.sampled_from(
-        [("serial", 1), ("parallel", 1), ("parallel", 4), ("sharded", 1), ("sharded", 2)]
-    ),
+    engine_pick=st.sampled_from([("serial", 1), ("parallel", 1), ("parallel", 4)]),
     kline=st.booleans(),
     union=st.booleans(),
 )
@@ -308,7 +285,7 @@ def test_solver_backend_bit_identical(
                 kline_filtering=kline,
                 use_union_bound=union,
             ).solve(query)
-        return _backend_solve(graph, query, factory, backend, engine_kind, width)
+        return _parallel_solve(graph, query, factory, backend, width)
 
     saved = solve_mod.BATCH_MIN_CANDIDATES
     solve_mod.BATCH_MIN_CANDIDATES = 0

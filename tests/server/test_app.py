@@ -6,6 +6,8 @@ client — the same path the CI smoke job exercises, but with surgical
 control over rate limits, deadlines, pressure and solver speed.
 """
 
+import http.client
+import json
 import threading
 import time
 from contextlib import contextmanager
@@ -15,7 +17,7 @@ import pytest
 from repro.core.query import KTGQuery
 from repro.obs.instruments import InstrumentRegistry
 from repro.server import KTGServer, ServerThread, http_request
-from repro.service import QueryService
+from repro.service import GraphRegistry, QueryService
 from tests.conftest import make_random_attributed_graph
 
 
@@ -460,6 +462,44 @@ class TestStatsEndpoint:
             assert server_section["counters"]["server.requests.solve"] == 1
             assert server_section["uptime_s"] >= 0
             assert "instruments" in body
+
+
+class TestGraphLoad:
+    def test_unknown_algorithm_is_400_and_the_connection_keeps_serving(self, graph):
+        graphs = GraphRegistry(algorithm="KTG-VKC-NLRNL", max_workers=1)
+        with graphs, running_server(graph, registry=graphs) as (_, _, (host, port), _):
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+
+                def request(method, path, payload=None):
+                    body = json.dumps(payload).encode() if payload is not None else None
+                    connection.request(method, path, body=body)
+                    response = connection.getresponse()
+                    return response.status, json.loads(response.read())
+
+                status, body = request(
+                    "POST",
+                    "/graphs/load",
+                    {"name": "a", "profile": "brightkite", "scale": 0.05, "algorithm": "nope"},
+                )
+                assert status == 400
+                assert "'nope'" in body["error"]
+                assert "KTG-VKC-DEG-NLRNL" in body["error"]
+                # Same keep-alive connection: the server is still answering.
+                status, body = request("GET", "/graphs")
+                assert status == 200
+                assert body["count"] == 0
+                assert "a" not in graphs
+                status, body = request(
+                    "POST",
+                    "/graphs/load",
+                    {"name": "a", "profile": "brightkite", "scale": 0.05,
+                     "algorithm": "KTG-VKC-NLRNL"},
+                )
+                assert status == 200
+                assert body["graph_id"] == "a#1"
+            finally:
+                connection.close()
 
 
 class TestLifecycle:
