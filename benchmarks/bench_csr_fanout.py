@@ -15,43 +15,27 @@ dense-large profile (Twitter, the paper's densest graph):
   inherit initargs copy-on-write — the pickle round-trip timed here is
   what every ``spawn`` pool, respawned worker, or cross-machine ship
   of the same state pays.
-* **Pool spin-up, end to end** — engine construction through the first
-  completed solve for a real ``jobs=2`` process fleet, both layouts.
-  Informational (the solve dominates under fork); asserts identical
-  ranked groups and the deterministic segment-release lifecycle, and
-  lands the ``csr.*`` counters in the artifact's ``extra_info`` so the
-  smoke baseline also guards the build/attach/release bookkeeping.
 """
 
 from __future__ import annotations
 
 import pickle
-import time
 
-from conftest import (
-    bench_dataset,
-    bench_workload,
-    check_claim,
-    register_bench_meta,
-)
+from conftest import bench_dataset, check_claim, register_bench_meta
 
 register_bench_meta(
     "csr_fanout",
-    title="CSR snapshot traversal throughput and zero-copy pool spin-up",
+    title="CSR snapshot traversal throughput and zero-copy worker-state fan-out",
 )
 
 from repro.core import csr as csr_module
-from repro.core.parallel import ParallelBranchAndBoundSolver
 from repro.index._traversal import bfs_levels, bfs_levels_csr
 from repro.index.bfs import BFSOracle
 from repro.index.nlrnl import NLRNLIndex
 from repro.kernels import BallBitsetEngine
-from repro.workloads.runner import ALGORITHMS
-from repro.workloads.sweep import DEFAULTS
 
-#: Match bench_parallel_scaling: the dense profile at its fig7 scale.
+#: The dense profile at its fig7 scale (as in bench_fig7_dense_large).
 DENSE_SCALE = 0.35
-ALGORITHM = "KTG-VKC-DEG-NLRNL"
 BALL_K = 2
 #: Fleet size for the state fan-out comparison: the deserialise side
 #: pays per worker, the attach side is near-constant.
@@ -65,19 +49,6 @@ _reference: dict[str, object] = {}
 def _graph():
     graph, _ = bench_dataset("twitter", DENSE_SCALE)
     return graph
-
-
-def _workload():
-    return tuple(
-        bench_workload(
-            "twitter",
-            DENSE_SCALE,
-            keyword_size=DEFAULTS["keyword_size"],
-            group_size=4,
-            tenuity=1,
-            top_n=DEFAULTS["top_n"],
-        )
-    )
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +133,6 @@ def test_ball_build_csr(benchmark):
 def test_worker_state_fanout_pickled(benchmark):
     graph = _graph()
     oracle = NLRNLIndex(graph)  # prebuilt once, shipped to every worker
-    _reference["oracle"] = oracle
 
     def fan_out():
         payload = pickle.dumps((graph, oracle))
@@ -211,61 +181,3 @@ def test_worker_state_fanout_shared_memory(benchmark):
         speedup >= 2.0,
         f"shared-memory pool-init fan-out speedup {speedup:.2f}x < 2x vs pickling",
     )
-
-
-# ----------------------------------------------------------------------
-# Pool spin-up, end to end: parity + lifecycle on a real process fleet
-# ----------------------------------------------------------------------
-def _spinup(graph, oracle, graph_layout):
-    """Engine construction through first completed solve, in seconds."""
-    query = _workload()[0]
-    spec = ALGORITHMS[ALGORITHM]
-    started = time.perf_counter()
-    with ParallelBranchAndBoundSolver(
-        graph,
-        oracle=oracle,
-        strategy=spec.build_solver(graph, oracle).strategy,
-        jobs=2,
-        executor="process",
-        graph_layout=graph_layout,
-    ) as engine:
-        result = engine.solve(query)
-    return time.perf_counter() - started, result.groups
-
-
-def test_pool_spinup_pickled(benchmark):
-    graph = _graph()
-    oracle = _reference["oracle"]  # prebuilt by the fan-out test above
-
-    outcome = benchmark.pedantic(
-        lambda: _spinup(graph, oracle, "adjacency"), rounds=1, iterations=1
-    )
-    _reference["spinup_s"], _reference["groups"] = outcome
-    benchmark.extra_info["jobs"] = 2
-
-
-def test_pool_spinup_shared_memory(benchmark):
-    graph = _graph()
-    graph.csr_snapshot()  # cached snapshot: share() copies, workers attach
-    csr_module.reset_counters()
-
-    outcome = benchmark.pedantic(
-        lambda: _spinup(graph, _reference["oracle"], "csr"), rounds=1, iterations=1
-    )
-    spinup_s, groups = outcome
-    assert groups == _reference["groups"]  # zero-copy fan-out is exact
-
-    # Informational: under fork both fleets inherit the parent cheaply
-    # and the first solve dominates, so no threshold is claimed here —
-    # the pool-init claim lives in the fan-out pair above.
-    speedup = _reference["spinup_s"] / spinup_s if spinup_s > 0 else 0.0
-    totals = csr_module.counter_totals()
-    benchmark.extra_info["jobs"] = 2
-    benchmark.extra_info["speedup_spinup_vs_pickled"] = round(speedup, 3)
-    benchmark.extra_info["csr_builds"] = totals["builds"]
-    benchmark.extra_info["csr_attaches"] = totals["attaches"]
-    benchmark.extra_info["csr_bytes"] = totals["bytes"]
-    benchmark.extra_info["csr_segment_releases"] = totals["segment_releases"]
-    # Lifecycle invariant (holds at every scale): the engine released
-    # its one owned segment when the context manager closed it.
-    assert totals["segment_releases"] == 1

@@ -13,7 +13,7 @@ bookkeeping are engine-independent and dominate the remainder), so the
 solve pair records its speedup without a hard claim while asserting
 the results are bit-identical.
 
-Six views, one config:
+Five views, one config:
 
 * ``filter``  — the filtering primitive, oracle vs bitset (>= 3x claim);
 * ``vec``     — cold ball construction over the CSR arrays, scalar
@@ -23,7 +23,6 @@ Six views, one config:
   elimination + lexsort re-score (>= 2x claim, children asserted
   bit-identical outside the timed region);
 * ``solve``   — end-to-end branch and bound, bit-identical top-N;
-* ``jobs4``   — a 4-thread fleet sharing one kernel, bit-identical;
 * ``service`` — :class:`QueryService` batch over a repeated-k workload
   (result cache off, so ball reuse across queries is what is measured).
 """
@@ -42,7 +41,6 @@ register_bench_meta(
 import pytest
 
 from repro.core.coverage import CoverageContext
-from repro.core.parallel import ParallelBranchAndBoundSolver
 from repro.kernels import BallBitsetEngine
 from repro.kernels.vec import numpy_available
 from repro.service import QueryService
@@ -474,34 +472,6 @@ def test_kernels_solve_bitset(benchmark):
         speedup >= 1.0,
         f"bitset solve slower than oracle path ({speedup:.2f}x)",
     )
-
-
-def test_kernels_solve_bitset_jobs4(benchmark):
-    runner, spec, oracle = _spec_and_oracle()
-    queries = _queries()
-    oracle_seconds, reference_groups = _solve_baseline(runner, spec, oracle)
-
-    with ParallelBranchAndBoundSolver(
-        runner.graph,
-        oracle=oracle,
-        strategy=spec.build_solver(runner.graph, oracle).strategy,
-        jobs=4,
-        executor="thread",
-        distance_engine="bitset",
-    ) as engine:
-        engine.solve(queries[0])  # warm pool and ball cache
-        results = benchmark.pedantic(
-            lambda: [engine.solve(query) for query in queries],
-            rounds=1,
-            iterations=1,
-        )
-
-    assert [r.groups for r in results] == reference_groups
-    mean_s = benchmark.stats.stats.mean
-    speedup = oracle_seconds / mean_s if mean_s > 0 else float("inf")
-    benchmark.extra_info["jobs"] = 4
-    benchmark.extra_info["oracle_serial_ms"] = round(oracle_seconds * 1000.0, 3)
-    benchmark.extra_info["speedup_vs_oracle_serial"] = round(speedup, 2)
 
 
 # ----------------------------------------------------------------------

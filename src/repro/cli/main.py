@@ -8,8 +8,7 @@ Subcommands mirror the library's workflow:
     Materialise a synthetic dataset to disk.
 ``ktg query <profile> --keywords a,b,c [-p 3 -k 2 -n 3] [--algorithm ...]``
     Answer one KTG query and print the groups.  ``ktg solve`` is an
-    alias; ``--jobs N`` fans the branch-and-bound root frontier across
-    a parallel worker fleet (results stay bit-identical to serial).
+    alias.
 ``ktg batch <profile> --queries 50 [--workers 4 --executor thread]``
     Serve a generated query batch through the QueryService (parallel
     workers + result cache + admission control) and print serving
@@ -62,6 +61,28 @@ from repro.workloads.sweep import PARAMETER_TABLE, run_parameter_sweep
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (rejected at parse time otherwise)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a number > 0 (rejected at parse time otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -100,18 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("--gamma", type=float, default=0.5, help="DKTG diversity weight")
     query.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel subproblem workers for the solve (1 = serial)",
-    )
-    query.add_argument(
-        "--jobs-executor",
-        default="process",
-        choices=["process", "thread", "inline"],
-        help="fleet kind used when --jobs > 1",
-    )
-    query.add_argument(
         "--distance-engine",
         default="oracle",
         choices=["oracle", "bitset"],
@@ -121,10 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph-layout",
         default="adjacency",
         choices=["adjacency", "csr"],
-        help=(
-            "traversal layout: per-vertex adjacency sets or the flat CSR "
-            "snapshot (zero-copy shared-memory fan-out with --jobs)"
-        ),
+        help="traversal layout: per-vertex adjacency sets or the flat CSR snapshot",
     )
     query.add_argument(
         "--kernel-backend",
@@ -153,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="KTG-VKC-DEG-NLRNL",
         choices=sorted(ALGORITHMS),
     )
-    batch.add_argument("--workers", type=int, default=4)
+    batch.add_argument("--workers", type=_positive_int, default=4)
     batch.add_argument(
         "--executor",
         default="thread",
@@ -173,24 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--time-budget",
-        type=float,
+        type=_positive_float,
         default=None,
         help="per-query wall-clock budget in seconds (graceful degradation)",
     )
     batch.add_argument(
         "--node-budget",
-        type=int,
+        type=_positive_int,
         default=None,
         help="per-query search-node budget (graceful degradation)",
-    )
-    batch.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "per-query parallel solve workers (1 = serial solves; "
-            ">1 serves the batch sequentially, each query using the fleet)"
-        ),
     )
     batch.add_argument(
         "--distance-engine",
@@ -202,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph-layout",
         default="adjacency",
         choices=["adjacency", "csr"],
-        help="traversal layout for oracle builds and solver fan-out",
+        help="traversal layout for oracle builds and process-worker solves",
     )
     batch.add_argument(
         "--kernel-backend",
@@ -225,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="KTG-VKC-DEG-NLRNL",
         choices=sorted(ALGORITHMS),
     )
-    serve.add_argument("--workers", type=int, default=4, help="solver threads")
+    serve.add_argument(
+        "--workers", type=_positive_int, default=4, help="solver threads"
+    )
     serve.add_argument(
         "--rate-limit",
         type=float,
@@ -261,13 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--time-budget",
-        type=float,
+        type=_positive_float,
         default=None,
         help="service-wide per-query wall-clock budget in seconds",
     )
     serve.add_argument(
         "--node-budget",
-        type=int,
+        type=_positive_int,
         default=None,
         help="service-wide per-query search-node budget",
     )
@@ -552,27 +551,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     oracle = spec.build_oracle(
         graph, graph_layout=args.graph_layout, kernel_backend=args.kernel_backend
     )
-    if args.jobs > 1 and not spec.diversified:
-        from repro.core.parallel import ParallelBranchAndBoundSolver
-
-        with ParallelBranchAndBoundSolver(
-            graph,
-            oracle=oracle,
-            strategy=strategy_by_name(spec.strategy_name, graph),
-            jobs=args.jobs,
-            executor=args.jobs_executor,
-            distance_engine=args.distance_engine,
-            graph_layout=args.graph_layout,
-            kernel_backend=args.kernel_backend,
-        ) as engine:
-            result = engine.solve(query)
-        print(result)
-        print(
-            f"(latency: {result.stats.elapsed_seconds * 1000:.1f} ms, "
-            f"jobs={result.jobs}, executor={result.executor}, "
-            f"subproblems={result.subproblems})"
-        )
-        return 0
     solver = spec.build_solver(
         graph,
         oracle,
@@ -609,7 +587,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         executor=args.executor,
         time_budget=args.time_budget,
         node_budget=args.node_budget,
-        jobs=args.jobs,
         distance_engine=args.distance_engine,
         graph_layout=args.graph_layout,
         kernel_backend=args.kernel_backend,
@@ -630,9 +607,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 }
             )
         stats = service.stats()
-    if args.jobs > 1:
-        mode = f"jobs={args.jobs} per query"
-    elif args.sequential:
+    if args.sequential:
         mode = "sequential"
     else:
         mode = f"{args.workers}x{args.executor}"

@@ -32,11 +32,6 @@ from repro.core.errors import (
 from repro.core.graph import AttributedGraph, KeywordTable
 from repro.core.keyword_index import KeywordIndex
 from repro.core.multi_vertex import anchored_query, exclude_familiar
-from repro.core.parallel import (
-    ParallelBranchAndBoundSolver,
-    ParallelKTGResult,
-    make_parallel_solver,
-)
 from repro.core.trace import SearchTrace, TraceNode, TracingSolver
 from repro.core.validate import (
     ResultValidationError,
@@ -73,9 +68,6 @@ __all__ = [
     "DKTGResult",
     "SearchStats",
     "make_solver",
-    "ParallelBranchAndBoundSolver",
-    "ParallelKTGResult",
-    "make_parallel_solver",
     "OrderingStrategy",
     "QKCOrdering",
     "VKCOrdering",

@@ -175,16 +175,14 @@ class BranchAndBoundSolver:
     kernel:
         Optional prebuilt ball-bitset engine (implies the bitset
         engine).  Pass one to share its ball cache across solvers —
-        clones in a parallel fleet, or queries served by one
-        :class:`repro.service.QueryService`.
+        e.g. queries served by one :class:`repro.service.QueryService`.
     graph_layout:
         ``"adjacency"`` (default) keeps every traversal on the mutable
         ``list[set[int]]`` adjacency; ``"csr"`` routes the default
         BFS oracle and a lazily-built bitset kernel over the graph's
         flat CSR snapshot arrays (see :mod:`repro.core.csr`).  Groups
         and :class:`SearchStats` are bit-identical across layouts —
-        only traversal speed (and process fan-out cost, see
-        :mod:`repro.core.parallel`) changes.  An explicitly supplied
+        only traversal speed changes.  An explicitly supplied
         *oracle*/*kernel* keeps whatever layout it was built with.
     kernel_backend:
         Vectorization backend for a lazily-built bitset kernel:
@@ -703,15 +701,6 @@ class BranchAndBoundSolver:
                 if not oracle.is_tenuous(u, v, k):
                     return False
         return True
-
-    def _kline_filter(self, candidates: list[int], member: int, k: int) -> list[int]:
-        """Engine-dispatched bulk k-line filter (no threaded mask).
-
-        Used where a candidate list is prepared outside the recursion —
-        anchor exclusion, the parallel engine's root-branch split."""
-        if self.kernel is not None:
-            return self.kernel.filter_candidates(candidates, member, k)
-        return self.oracle.filter_candidates(candidates, member, k)
 
 
 @lru_cache(maxsize=64)

@@ -30,9 +30,11 @@ the same bytes valid in two transports:
 
 * **local** — one ``bytes`` object inside the building process, shared
   by reference across threads (the buffer is immutable);
-* **shared** — a ``multiprocessing.shared_memory`` segment.  Process
-  workers :meth:`~CsrSnapshot.attach` by *name* instead of receiving a
-  pickled graph, which is what makes process fan-out zero-copy.
+* **shared** — a ``multiprocessing.shared_memory`` segment.  Other
+  processes :meth:`~CsrSnapshot.attach` by *name* instead of receiving
+  a pickled graph, so handing a snapshot across processes is zero-copy
+  (:class:`repro.core.epoch.EpochManager` with ``shared=True`` places
+  every epoch this way).
 
 Hot loops do not index the ``array`` buffers directly: boxing an ``int``
 per element makes ``array('i')[j]`` slower than a plain list in pure

@@ -439,8 +439,8 @@ class AttributedGraph:
         :meth:`remove_edge`, :meth:`set_keywords`) bumps :attr:`version`,
         which invalidates the cache so the next call rebuilds.  The
         returned :class:`repro.core.csr.CsrSnapshot` is local (not
-        shared memory); promote it with ``snapshot.share()`` for process
-        fan-out.
+        shared memory); promote it with ``snapshot.share()`` to hand it
+        to other processes.
         """
         from repro.core.csr import CsrSnapshot
 

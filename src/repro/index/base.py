@@ -29,8 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.csr import CsrGraphView
 
 #: Graphs an oracle can be bound to: the mutable adjacency graph or a
-#: frozen CSR view (process workers attach to a shared snapshot and
-#: build their oracle stack on the view; see repro.core.csr).
+#: frozen CSR view (a local snapshot, or one attached from shared
+#: memory by name; see repro.core.csr).
 GraphLike = Union[AttributedGraph, "CsrGraphView"]
 
 __all__ = ["DistanceOracle", "OracleStats", "GraphLike"]

@@ -209,7 +209,7 @@ class BallBitsetEngine:
             # The dict read itself stays lock-free (atomic under the
             # GIL), but the counter bump and the LRU touch share one
             # short critical section: `self.ball_hits += 1` is a
-            # load/add/store that thread fleets can interleave, which
+            # load/add/store that concurrent threads can interleave, which
             # used to lose increments and let counters() drift from the
             # obs registry.
             with self._lock:
@@ -478,7 +478,7 @@ class BallBitsetEngine:
         common case and the bulk of the engine's speedup."""
         with self._lock:
             # Lock-protected like the ball counters: bare `+= 1` loses
-            # increments under thread fleets.
+            # increments under concurrent threads.
             self.mask_filters += 1
             self._filters_counter.inc()
         return candidates_mask & ~(self.ball(member, k) | (1 << member))

@@ -582,11 +582,15 @@ class KTGServer:
             isinstance(time_budget, bool) or not isinstance(time_budget, (int, float))
         ):
             raise HttpError(400, "'time_budget' must be a number (seconds)")
+        if time_budget is not None and not time_budget > 0:
+            raise HttpError(400, f"'time_budget' must be positive, got {time_budget}")
         node_budget = payload.get("node_budget")
         if node_budget is not None and (
             isinstance(node_budget, bool) or not isinstance(node_budget, int)
         ):
             raise HttpError(400, "'node_budget' must be an integer")
+        if node_budget is not None and node_budget < 1:
+            raise HttpError(400, f"'node_budget' must be >= 1, got {node_budget}")
 
         # The cache key starts with the service's graph_id, so two
         # tenants' identical queries can never coalesce onto one solve.

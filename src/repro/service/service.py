@@ -25,12 +25,12 @@ DKTG queries submitted singly or in batches:
   False and the degradation is counted in :class:`ServiceStats`.
 
 Thread-safety: concurrent ``submit``/``run_batch`` calls are safe —
-every lazily initialized shared structure (oracle, kernel, parallel
-engines, worker pools, stats) is built and mutated under a lock, so
-racing callers converge on one engine per ``(jobs, version)`` key and
-one worker pool.  Mutating the graph concurrently with in-flight
-queries is not — mutate between batches (the next call observes the
-new version, rebuilds the oracle and re-keys the cache).
+every lazily initialized shared structure (oracle, kernel, worker
+pools, stats) is built and mutated under a lock, so racing callers
+converge on one oracle and one worker pool.  Mutating the graph
+concurrently with in-flight queries is not — mutate between batches
+(the next call observes the new version, rebuilds the oracle and
+re-keys the cache).
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ from repro.core.csr import validate_graph_layout
 from repro.core.epoch import DEFAULT_MAX_DELTA, DEFAULT_ROTATE_AFTER, EpochManager
 from repro.core.errors import EpochError
 from repro.core.graph import AttributedGraph
-from repro.core.parallel import EXECUTORS, ParallelBranchAndBoundSolver
 from repro.core.query import DKTGQuery, KTGQuery
-from repro.core.strategies import strategy_by_name
 from repro.index.base import DistanceOracle
 from repro.obs.instruments import NULL_REGISTRY, InstrumentRegistry
 from repro.service.cache import ResultCache, canonical_query_key
@@ -236,22 +234,10 @@ class QueryService:
     time_budget / node_budget:
         Admission-control defaults applied to every query; ``None``
         means unbounded (every answer is exact).
-    jobs:
-        Default per-query parallelism: with ``jobs > 1`` each *solve*
-        fans its branch-and-bound root frontier across a
-        :class:`repro.core.parallel.ParallelBranchAndBoundSolver`
-        fleet (results stay bit-identical to serial).  Per-query
-        parallelism replaces batch-level parallelism — a batch served
-        with ``jobs > 1`` runs its queries one after another, each
-        using the whole fleet.  Diversified (DKTG) specs ignore it.
-    jobs_executor:
-        Fleet kind for per-query parallelism: ``"process"`` (default),
-        ``"thread"`` or ``"inline"`` (see
-        :data:`repro.core.parallel.EXECUTORS`).
     graph_id:
         Stable identity of *this* graph, mixed into the result-cache
-        and engine-cache keys.  Two services over different graphs that
-        share a ``version`` counter (every freshly built graph starts
+        keys.  Two services over different graphs that share a
+        ``version`` counter (every freshly built graph starts
         at 0) must carry distinct ids or a shared coalescing layer
         could serve one tenant the other's groups.
         :class:`repro.service.GraphRegistry` issues ``"{name}#{gen}"``
@@ -267,15 +253,12 @@ class QueryService:
         rebuild.  Results are bit-identical either way.
     graph_layout:
         ``"adjacency"`` (default) or ``"csr"`` — the traversal layout
-        for oracle builds, ball construction and solver fan-out (see
-        :class:`repro.core.csr.CsrSnapshot`).  With ``jobs > 1`` and a
-        process fleet, ``"csr"`` additionally makes the fan-out
-        zero-copy: workers attach to one shared-memory snapshot instead
-        of unpickling the graph.  Served answers are bit-identical
-        across layouts.
+        for oracle builds and ball construction (see
+        :class:`repro.core.csr.CsrSnapshot`).  Served answers are
+        bit-identical across layouts.
     kernel_backend:
         Vectorization backend for every kernel this service builds
-        (the shared one, parallel fleets' and process workers'):
+        (the shared one and process workers'):
         ``"auto"`` (default) uses the numpy kernels from
         :mod:`repro.kernels.vec` when importable, ``"numpy"`` forces
         them, ``"python"`` forces the scalar path.  On the numpy
@@ -314,8 +297,6 @@ class QueryService:
         executor: str = "thread",
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
-        jobs: int = 1,
-        jobs_executor: str = "process",
         graph_id: str = "default",
         cache_capacity: int = 1024,
         distance_engine: str = "oracle",
@@ -349,12 +330,10 @@ class QueryService:
                 f"distance_engine must be 'oracle' or 'bitset', "
                 f"got {distance_engine!r}"
             )
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if jobs_executor not in EXECUTORS:
-            raise ValueError(
-                f"jobs_executor must be one of {EXECUTORS}, got {jobs_executor!r}"
-            )
+        if time_budget is not None and not time_budget > 0:
+            raise ValueError(f"time_budget must be positive, got {time_budget}")
+        if node_budget is not None and node_budget < 1:
+            raise ValueError(f"node_budget must be >= 1, got {node_budget}")
         if not graph_id:
             raise ValueError("graph_id must be a non-empty string")
         self.graph = graph
@@ -364,8 +343,6 @@ class QueryService:
         self.executor_kind = executor
         self.time_budget = time_budget
         self.node_budget = node_budget
-        self.jobs = jobs
-        self.jobs_executor = jobs_executor
         self.cache = ResultCache(cache_capacity)
         self.distance_engine = distance_engine
         self.graph_layout = validate_graph_layout(graph_layout)
@@ -373,12 +350,8 @@ class QueryService:
 
         self.kernel_backend = validate_kernel_backend(kernel_backend)
         self._kernel = None
-        self._engines: dict[tuple, ParallelBranchAndBoundSolver] = {}
-        # Lazy-init guards: concurrent submit/run_batch calls race to
-        # build the parallel-engine cache and the worker pool; without
-        # these locks the losers leaked whole pools (process fleets hold
-        # shared-memory segments, so a leaked loser leaks /dev/shm too).
-        self._engines_lock = threading.Lock()
+        # Lazy-init guard: concurrent run_batch calls race to build the
+        # worker pool; without this lock the losers leaked whole pools.
         self._pool_lock = threading.RLock()
         self._oracle = oracle
         self._oracle_lock = threading.Lock()
@@ -419,15 +392,10 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool and any parallel engines (idempotent)."""
+        """Shut down the worker pool (idempotent)."""
         if self._epochs is not None:
             self._epochs.close()
         self._close_pool()
-        with self._engines_lock:
-            engines = list(self._engines.values())
-            self._engines.clear()
-        for engine in engines:
-            engine.close()
 
     def _close_pool(self) -> None:
         with self._pool_lock:
@@ -451,20 +419,13 @@ class QueryService:
         *,
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
-        jobs: Optional[int] = None,
     ) -> ServiceResult:
-        """Answer one query (cache-first, sequential).
-
-        ``jobs`` overrides the service-level default for this call only;
-        with ``jobs > 1`` the solve fans out across a parallel
-        branch-and-bound fleet (bit-identical results, lower latency).
-        """
+        """Answer one query (cache-first, sequential)."""
         query = self._lift(query)
         return self._serve_one(
             query,
             time_budget if time_budget is not None else self.time_budget,
             node_budget if node_budget is not None else self.node_budget,
-            jobs if jobs is not None else self.jobs,
         )
 
     def run_batch(
@@ -474,7 +435,6 @@ class QueryService:
         parallel: bool = True,
         time_budget: Optional[float] = None,
         node_budget: Optional[int] = None,
-        jobs: Optional[int] = None,
     ) -> list[ServiceResult]:
         """Answer a workload (or any query iterable), in input order.
 
@@ -483,21 +443,10 @@ class QueryService:
         and identical across sequential, thread and process execution:
         every solve is an independent exact search over an immutable
         graph, so only scheduling differs.
-
-        ``jobs`` (falling back to the service default) selects
-        *per-query* parallelism instead: the batch is served
-        sequentially while each individual solve fans its root frontier
-        across a worker fleet.  The two pool layers are never nested.
         """
         lifted = [self._lift(query) for query in queries]
         tb = time_budget if time_budget is not None else self.time_budget
         nb = node_budget if node_budget is not None else self.node_budget
-        per_query_jobs = jobs if jobs is not None else self.jobs
-
-        if per_query_jobs > 1:
-            # Per-query parallelism owns the hardware: queries run one
-            # after another, each using the whole fleet.
-            return [self._serve_one(q, tb, nb, per_query_jobs) for q in lifted]
         if not parallel or self.max_workers == 1 or len(lifted) <= 1:
             return [self._serve_one(query, tb, nb) for query in lifted]
         if self.executor_kind == "process":
@@ -699,7 +648,7 @@ class QueryService:
         Tied to the oracle object: when graph mutation forces
         :meth:`_ensure_oracle` to rebuild, the kernel wrapping the old
         oracle is discarded with it.  The kernel itself is thread-safe,
-        so thread-pool batches and parallel fleets share one ball cache.
+        so thread-pool batches share one ball cache.
         """
         if self.distance_engine != "bitset":
             return None
@@ -715,52 +664,11 @@ class QueryService:
                 )
             return self._kernel
 
-    def _evict_stale_engines_locked(self) -> None:
-        # Engine keys end in the graph version they were built against;
-        # a mutation retires them (their worker state snapshots the
-        # graph).  Caller holds _engines_lock.
-        stale = [k for k in self._engines if k[-1] != self.graph.version]
-        for k in stale:
-            self._engines.pop(k).close()
-
-    def _parallel_engine(self, jobs: int) -> ParallelBranchAndBoundSolver:
-        """Cached parallel engine for this spec at the given fleet size.
-
-        Keyed by ``(graph_id, "jobs", jobs, graph.version)`` so a graph
-        mutation retires stale engines and the key can never collide
-        with another graph's engines in any shared aggregation.
-        Engines are closed by :meth:`close`.  Construction is serialized
-        under ``_engines_lock``: racing submits must converge on *one*
-        engine per key — the losing duplicate of a process fleet would
-        leak worker processes and shared-memory segments.
-        """
-        key = (self.graph_id, "jobs", jobs, self.graph.version)
-        with self._engines_lock:
-            engine = self._engines.get(key)
-            if engine is None:
-                self._evict_stale_engines_locked()
-                oracle = self._ensure_oracle()
-                engine = ParallelBranchAndBoundSolver(
-                    self.graph,
-                    oracle=oracle,
-                    strategy=strategy_by_name(self.spec.strategy_name, self.graph),
-                    jobs=jobs,
-                    executor=self.jobs_executor,
-                    distance_engine=self.distance_engine,
-                    kernel=self._ensure_kernel(oracle),
-                    graph_layout=self.graph_layout,
-                    kernel_backend=self.kernel_backend,
-                    instruments=self.instruments,
-                )
-                self._engines[key] = engine
-        return engine
-
     def _serve_one(
         self,
         query: KTGQuery,
         time_budget: Optional[float],
         node_budget: Optional[int],
-        jobs: int = 1,
     ) -> ServiceResult:
         # Epoch mode: the whole serve (key computation included — it
         # reads graph.version) runs under the manager's read gate, so no
@@ -768,15 +676,14 @@ class QueryService:
         # are shared; only the brief mutation applies exclude them.
         if self._epochs is not None:
             with self._epochs.read():
-                return self._serve_one_locked(query, time_budget, node_budget, jobs)
-        return self._serve_one_locked(query, time_budget, node_budget, jobs)
+                return self._serve_one_locked(query, time_budget, node_budget)
+        return self._serve_one_locked(query, time_budget, node_budget)
 
     def _serve_one_locked(
         self,
         query: KTGQuery,
         time_budget: Optional[float],
         node_budget: Optional[int],
-        jobs: int = 1,
     ) -> ServiceResult:
         started = time.perf_counter()
         key = self._cache_key(query)
@@ -795,26 +702,19 @@ class QueryService:
             self._record(served)
             return served
         self._cache_miss_counter.inc()
-        if jobs > 1 and not self.spec.diversified:
-            engine = self._parallel_engine(jobs)
-            solve_started = time.perf_counter()
-            result = engine.solve(
-                query, node_budget=node_budget, time_budget=time_budget
-            )
-        else:
-            oracle = self._ensure_oracle()
-            options: dict = {
-                "time_budget": time_budget,
-                "node_budget": node_budget,
-                "graph_layout": self.graph_layout,
-            }
-            kernel = self._ensure_kernel(oracle)
-            if kernel is not None:
-                options["distance_engine"] = "bitset"
-                options["kernel"] = kernel
-            solver = self.spec.build_solver(self.graph, oracle, **options)
-            solve_started = time.perf_counter()
-            result = solver.solve(query)
+        oracle = self._ensure_oracle()
+        options: dict = {
+            "time_budget": time_budget,
+            "node_budget": node_budget,
+            "graph_layout": self.graph_layout,
+        }
+        kernel = self._ensure_kernel(oracle)
+        if kernel is not None:
+            options["distance_engine"] = "bitset"
+            options["kernel"] = kernel
+        solver = self.spec.build_solver(self.graph, oracle, **options)
+        solve_started = time.perf_counter()
+        result = solver.solve(query)
         self._solve_timer.observe_ms((time.perf_counter() - solve_started) * 1000.0)
         served = ServiceResult(
             query=query,

@@ -257,7 +257,7 @@ class TestReproduceCommand:
         assert code in (0, 2)  # 2 when a timing-based claim diverges
 
 
-class TestParallelFlags:
+class TestSolveAlias:
     QUERY_ARGS = [
         "brightkite",
         "--scale",
@@ -273,63 +273,59 @@ class TestParallelFlags:
     ]
 
     def test_solve_alias_parses_like_query(self):
-        parser = build_parser()
-        args = parser.parse_args(["solve", *self.QUERY_ARGS, "--jobs", "4"])
+        args = build_parser().parse_args(["solve", *self.QUERY_ARGS])
         assert args.command == "solve"
-        assert args.jobs == 4
-        assert args.jobs_executor == "process"
+        assert args.group_size == 3
 
-    def test_jobs_executor_choices_enforced(self):
+    @pytest.mark.parametrize("command", ["query", "solve", "batch"])
+    def test_jobs_flag_is_gone(self, command):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["query", *self.QUERY_ARGS, "--jobs-executor", "fibers"]
-            )
+            build_parser().parse_args([command, "brightkite", "--jobs", "2"])
 
-    def test_query_with_jobs_reports_fleet(self, capsys):
-        code = main(
-            ["solve", *self.QUERY_ARGS, "--jobs", "2", "--jobs-executor", "thread"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "jobs=2" in out
-        assert "executor=thread" in out
-        assert "subproblems=" in out
 
-    def test_parallel_query_groups_match_serial(self, capsys):
-        assert main(["query", *self.QUERY_ARGS]) == 0
-        serial_out = capsys.readouterr().out
-        assert (
-            main(
-                ["query", *self.QUERY_ARGS, "--jobs", "3", "--jobs-executor", "inline"]
-            )
-            == 0
-        )
-        parallel_out = capsys.readouterr().out
-        serial_groups = [ln for ln in serial_out.splitlines() if "coverage" in ln]
-        parallel_groups = [
-            ln for ln in parallel_out.splitlines() if "coverage" in ln
-        ]
-        assert serial_groups and serial_groups == parallel_groups
+class TestPositiveFlags:
+    """Non-positive workers and budgets are usage errors at parse time."""
 
-    def test_batch_with_jobs(self, capsys):
-        code = main(
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--workers", "-2"),
+            ("--node-budget", "0"),
+            ("--time-budget", "0"),
+            ("--time-budget", "-1"),
+            ("--time-budget", "nan"),
+        ],
+    )
+    def test_non_positive_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "brightkite", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    def test_positive_values_parse(self, command):
+        args = build_parser().parse_args(
             [
-                "batch",
+                command,
                 "brightkite",
-                "--scale",
-                "0.1",
-                "--queries",
-                "2",
-                "--keyword-size",
+                "--workers",
                 "3",
-                "--jobs",
-                "2",
-                "--passes",
-                "1",
+                "--node-budget",
+                "50",
+                "--time-budget",
+                "0.5",
             ]
         )
-        assert code == 0
-        assert "jobs=2 per query" in capsys.readouterr().out
+        assert (args.workers, args.node_budget, args.time_budget) == (3, 50, 0.5)
+
+    def test_non_numeric_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["batch", "brightkite", "--workers", "many"])
+        assert "invalid int value" in capsys.readouterr().err
 
 
 class TestServeCommand:

@@ -1,15 +1,12 @@
 """Property tests: ``graph_layout="csr"`` is bit-identical to adjacency.
 
 The CSR port's correctness contract, exercised over random graphs and
-queries: for every ordering strategy, both distance engines and
-``jobs in {1, 2, 4}``, the csr layout returns the same ranked groups
-and the same ``SearchStats`` as the set-based adjacency layout.  The
-oracle-level properties pin the underlying traversals (BFS levels,
-balls, NL/PLL builds) to the same guarantee.
-
-Process pools (the shared-memory attach path) are exercised by one
-non-property smoke test at the bottom — spawning a pool per hypothesis
-example would dominate runtime without adding coverage.
+queries: for every ordering strategy and both distance engines, the
+csr layout returns the same ranked groups and the same ``SearchStats``
+as the set-based adjacency layout.  The oracle-level properties pin the
+underlying traversals (BFS levels, balls, NL/PLL builds) to the same
+guarantee.  Shared-memory attach and segment release are covered by
+``tests/core/test_csr.py`` and ``tests/core/test_epoch.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.branch_and_bound import BranchAndBoundSolver
 from repro.core.graph import AttributedGraph
-from repro.core.parallel import ParallelBranchAndBoundSolver
 from repro.core.query import KTGQuery
 from repro.core.strategies import QKCOrdering, VKCDegreeOrdering, VKCOrdering
 from repro.index._traversal import bfs_levels, bfs_levels_csr
@@ -85,30 +81,17 @@ def comparable_stats(stats):
 
 
 def solve(
-    graph, query, strategy_factory, layout, distance_engine, jobs, kernel_backend="auto"
+    graph, query, strategy_factory, layout, distance_engine, kernel_backend="auto"
 ):
-    if jobs == 0:  # plain serial solver, no parallel engine at all
-        solver = BranchAndBoundSolver(
-            graph,
-            oracle=BFSOracle(graph, graph_layout=layout),
-            strategy=strategy_factory(graph),
-            distance_engine=distance_engine,
-            graph_layout=layout,
-            kernel_backend=kernel_backend,
-        )
-        return solver.solve(query)
-    with ParallelBranchAndBoundSolver(
+    solver = BranchAndBoundSolver(
         graph,
         oracle=BFSOracle(graph, graph_layout=layout),
         strategy=strategy_factory(graph),
-        jobs=jobs,
-        executor="inline" if jobs == 1 else "thread",
-        bound_broadcast=False,
         distance_engine=distance_engine,
         graph_layout=layout,
         kernel_backend=kernel_backend,
-    ) as engine:
-        return engine.solve(query)
+    )
+    return solver.solve(query)
 
 
 # ----------------------------------------------------------------------
@@ -120,12 +103,11 @@ def solve(
     query=queries(),
     strategy_index=st.integers(0, 2),
     distance_engine=st.sampled_from(["oracle", "bitset"]),
-    jobs=st.sampled_from([0, 1, 2, 4]),
 )
-def test_csr_layout_bit_identical(graph, query, strategy_index, distance_engine, jobs):
+def test_csr_layout_bit_identical(graph, query, strategy_index, distance_engine):
     _, factory = STRATEGIES[strategy_index]
-    adjacency = solve(graph, query, factory, "adjacency", distance_engine, jobs)
-    csr = solve(graph, query, factory, "csr", distance_engine, jobs)
+    adjacency = solve(graph, query, factory, "adjacency", distance_engine)
+    csr = solve(graph, query, factory, "csr", distance_engine)
     assert ranked_groups(csr) == ranked_groups(adjacency)
     assert comparable_stats(csr.stats) == comparable_stats(adjacency.stats)
 
@@ -136,19 +118,14 @@ def test_csr_layout_bit_identical(graph, query, strategy_index, distance_engine,
     query=queries(),
     strategy_index=st.integers(0, 2),
     layout=st.sampled_from(["adjacency", "csr"]),
-    jobs=st.sampled_from([0, 2]),
 )
-def test_kernel_backend_bit_identical(graph, query, strategy_index, layout, jobs):
+def test_kernel_backend_bit_identical(graph, query, strategy_index, layout):
     """The vectorized kernels return the same ranked groups and the
-    same ``SearchStats`` as the scalar ones, across strategy x layout x
-    fleet size (and the auto fallback when numpy is absent)."""
+    same ``SearchStats`` as the scalar ones, across strategy x layout
+    (and the auto fallback when numpy is absent)."""
     _, factory = STRATEGIES[strategy_index]
-    base = solve(
-        graph, query, factory, layout, "bitset", jobs, KERNEL_BACKENDS[0]
-    )
-    fast = solve(
-        graph, query, factory, layout, "bitset", jobs, KERNEL_BACKENDS[1]
-    )
+    base = solve(graph, query, factory, layout, "bitset", KERNEL_BACKENDS[0])
+    fast = solve(graph, query, factory, layout, "bitset", KERNEL_BACKENDS[1])
     assert ranked_groups(fast) == ranked_groups(base)
     assert comparable_stats(fast.stats) == comparable_stats(base.stats)
 
@@ -190,38 +167,3 @@ def test_nl_and_pll_builds_layout_invariant(graph):
         assert pll_c.label_of(v) == pll_a.label_of(v)
         for u in graph.vertices():
             assert pll_c.query_distance(u, v) == pll_a.query_distance(u, v)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory process fan-out (one real pool; too slow per-example)
-# ----------------------------------------------------------------------
-def test_process_pool_shared_memory_matches_serial_once():
-    from tests.conftest import make_random_attributed_graph
-
-    graph = make_random_attributed_graph(num_vertices=36, seed=5)
-    query = KTGQuery(
-        keywords=("kw000", "kw001", "kw002"), group_size=3, tenuity=2, top_n=3
-    )
-    for _, factory in STRATEGIES:
-        for distance_engine in ("oracle", "bitset"):
-            # Reference: adjacency-layout thread fleet.  With broadcasts
-            # off the aggregate stats are schedule-invariant, so they
-            # must match the process fleet's bit for bit.
-            reference = solve(graph, query, factory, "adjacency", distance_engine, 2)
-            with ParallelBranchAndBoundSolver(
-                graph,
-                oracle=BFSOracle(graph, graph_layout="csr"),
-                strategy=factory(graph),
-                jobs=2,
-                executor="process",
-                bound_broadcast=False,
-                distance_engine=distance_engine,
-                graph_layout="csr",
-            ) as engine:
-                result = engine.solve(query)
-                segment = engine._shared_snapshot
-                assert segment is not None and segment.is_owner
-            # close() released the engine-owned segment deterministically.
-            assert engine._shared_snapshot is None
-            assert ranked_groups(result) == ranked_groups(reference)
-            assert comparable_stats(result.stats) == comparable_stats(reference.stats)

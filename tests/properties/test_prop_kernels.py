@@ -7,13 +7,13 @@ Two contracts, exercised over random graphs and queries:
   PLL) and every ``k`` in 1..4, regardless of the cache budget.
 * **Engine equivalence** — ``solve(distance_engine="bitset")`` returns
   ranked groups (members AND coverages) *and* search stats identical to
-  the oracle engine, for every strategy, serial and parallel fleets,
-  with k-line filtering on or off, with budgets on or off.
+  the oracle engine, for every strategy, with k-line filtering on or
+  off, with budgets on or off.
 * **Backend equivalence** — the two kernel backends (scalar vs numpy,
   which on numpy also engages the batched expansion core of
   :mod:`repro.kernels.solve`) return identical ranked groups and
-  identical :class:`SearchStats` ledgers, across strategies, serial and
-  parallel engines, and jobs counts.
+  identical :class:`SearchStats` ledgers, across strategies and pruning
+  ablations.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import repro.kernels.solve as solve_mod
 from repro.core.branch_and_bound import BranchAndBoundSolver
 from repro.core.bruteforce import BruteForceSolver
 from repro.core.graph import AttributedGraph
-from repro.core.parallel import ParallelBranchAndBoundSolver
 from repro.core.query import KTGQuery
 from repro.core.strategies import QKCOrdering, VKCDegreeOrdering, VKCOrdering
 from repro.index.bfs import BFSOracle
@@ -151,29 +150,6 @@ def test_bitset_solve_identical_to_oracle(graph, query, strategy_index, kline):
 @given(
     graph=attributed_graphs(),
     query=queries(),
-    jobs=st.sampled_from([1, 4]),
-)
-def test_bitset_parallel_identical_to_oracle_serial(graph, query, jobs):
-    serial = BranchAndBoundSolver(
-        graph, oracle=BFSOracle(graph), strategy=STRATEGIES[2][1](graph)
-    ).solve(query)
-    with ParallelBranchAndBoundSolver(
-        graph,
-        oracle=BFSOracle(graph),
-        strategy=STRATEGIES[2][1](graph),
-        jobs=jobs,
-        executor="inline" if jobs == 1 else "thread",
-        distance_engine="bitset",
-    ) as engine:
-        parallel = engine.solve(query)
-    assert ranked_groups(parallel) == ranked_groups(serial)
-    assert parallel.stats.offers_accepted == serial.stats.offers_accepted
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    graph=attributed_graphs(),
-    query=queries(),
     node_budget=st.integers(min_value=1, max_value=30),
 )
 def test_bitset_identical_under_node_budget(graph, query, node_budget):
@@ -233,59 +209,33 @@ def full_stats_profile(stats):
     return profile
 
 
-def _parallel_solve(graph, query, strategy_factory, backend, jobs):
-    # bound_broadcast off: cross-chunk floor updates are timing
-    # dependent, and the sweep pins the FULL stats ledger.
-    with ParallelBranchAndBoundSolver(
-        graph,
-        oracle=BFSOracle(graph),
-        strategy=strategy_factory(graph),
-        jobs=jobs,
-        executor="inline" if jobs == 1 else "thread",
-        distance_engine="bitset",
-        kernel_backend=backend,
-        bound_broadcast=False,
-    ) as engine:
-        return engine.solve(query)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     graph=attributed_graphs(),
     query=queries(),
     strategy_index=st.integers(0, 2),
-    engine_pick=st.sampled_from([("serial", 1), ("parallel", 1), ("parallel", 4)]),
     kline=st.booleans(),
     union=st.booleans(),
 )
-def test_solver_backend_bit_identical(
-    graph, query, strategy_index, engine_pick, kline, union
-):
+def test_solver_backend_bit_identical(graph, query, strategy_index, kline, union):
     """The two kernel backends answer every configuration with identical
     ranked groups AND an identical SearchStats ledger.  On numpy this
     pins the batched expansion core (repro.kernels.solve) against the
     scalar path; on the numpy-absent CI lane it pins scalar vs the auto
     fallback.  BATCH_MIN_CANDIDATES drops to 0 so the tiny property
     graphs exercise the batched path at every node."""
-    engine_kind, width = engine_pick
-    if engine_kind != "serial" and (not kline or union):
-        # Fleet engines always run with default pruning; the ablation
-        # dimensions only vary on the serial solver.
-        kline, union = True, False
     _, factory = STRATEGIES[strategy_index]
 
     def run(backend):
-        if engine_kind == "serial":
-            return BranchAndBoundSolver(
-                graph,
-                oracle=BFSOracle(graph),
-                strategy=factory(graph),
-                distance_engine="bitset",
-                kernel_backend=backend,
-                kline_filtering=kline,
-                use_union_bound=union,
-            ).solve(query)
-        return _parallel_solve(graph, query, factory, backend, width)
+        return BranchAndBoundSolver(
+            graph,
+            oracle=BFSOracle(graph),
+            strategy=factory(graph),
+            distance_engine="bitset",
+            kernel_backend=backend,
+            kline_filtering=kline,
+            use_union_bound=union,
+        ).solve(query)
 
     saved = solve_mod.BATCH_MIN_CANDIDATES
     solve_mod.BATCH_MIN_CANDIDATES = 0
@@ -296,7 +246,7 @@ def test_solver_backend_bit_identical(
         ]
     finally:
         solve_mod.BATCH_MIN_CANDIDATES = saved
-    assert outcomes[0] == outcomes[1], (engine_kind, width, kline, union)
+    assert outcomes[0] == outcomes[1], (kline, union)
 
 
 @settings(max_examples=15, deadline=None)

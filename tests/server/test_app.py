@@ -220,6 +220,35 @@ class TestSolve:
             assert all(entry["status"] == 200 for entry in body["results"])
             assert body["results"][0]["groups"] == body["results"][2]["groups"]
 
+    @pytest.mark.parametrize(
+        "budget",
+        [{"node_budget": 0}, {"time_budget": 0}, {"time_budget": -1}],
+    )
+    def test_non_positive_budget_is_400_and_the_connection_keeps_serving(
+        self, graph, labels, budget
+    ):
+        with running_server(graph) as (_, _, (host, port), registry):
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+
+                def solve(payload):
+                    body = json.dumps(payload).encode()
+                    connection.request("POST", "/solve", body=body)
+                    response = connection.getresponse()
+                    return response.status, json.loads(response.read())
+
+                status, body = solve(query_payload(labels[:3], **budget))
+                assert status == 400
+                (name,) = budget
+                assert f"'{name}' must be" in body["error"]
+                assert registry.counter("server.solver_runs").value == 0
+                # Same keep-alive connection: the server is still answering.
+                status, body = solve(query_payload(labels[:3]))
+                assert status == 200
+                assert body["exact"]
+            finally:
+                connection.close()
+
     def test_batch_rejects_malformed_entries(self, graph):
         with running_server(graph) as (_, _, (host, port), _):
             assert http_request(host, port, "POST", "/batch", {})[0] == 400

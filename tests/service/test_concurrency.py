@@ -4,8 +4,8 @@ The acceptance bar: parallel execution returns identical ``member_sets``
 to sequential execution on a fixed workload (exactness preserved under
 concurrency), graph mutations invalidate cached answers through the
 version counter, and racing callers converge on exactly one lazily
-built engine/pool per key (the unsynchronized race used to leak whole
-process fleets and their /dev/shm segments).
+built worker pool (the unsynchronized race used to leak whole process
+pools and their /dev/shm segments).
 """
 
 import glob
@@ -194,14 +194,14 @@ class TestConcurrentSubmission:
 
 
 class TestLazyInitRaces:
-    """Racing callers must converge on one engine/pool per key.
+    """Racing callers must converge on one worker pool.
 
-    The lazy initializers used to be unsynchronized: two threads could
-    both observe "no engine yet", both build one, and the loser's fleet
-    leaked (worker threads or processes, and with process fleets the
+    The lazy initializer used to be unsynchronized: two threads could
+    both observe "no pool yet", both build one, and the loser's pool
+    leaked (worker threads or processes, and with the CSR layout the
     /dev/shm snapshot segments too).  The constructors are counted via
     monkeypatched stand-ins so the tests assert *creations*, not just
-    the final dict size.
+    the final pool.
     """
 
     def _hammer(self, n_threads, work):
@@ -223,61 +223,6 @@ class TestLazyInitRaces:
         for thread in threads:
             thread.join()
         assert not errors
-
-    def test_racing_jobs_submits_build_exactly_one_engine(self, monkeypatch):
-        graph = make_random_attributed_graph(num_vertices=30, seed=5)
-        labels = tuple(sorted(graph.keyword_table)[:3])
-        query = KTGQuery(keywords=labels, group_size=2, tenuity=2, top_n=2)
-
-        real_engine = service_module.ParallelBranchAndBoundSolver
-        built = []
-
-        def counting_engine(*args, **kwargs):
-            engine = real_engine(*args, **kwargs)
-            built.append(engine)
-            return engine
-
-        monkeypatch.setattr(
-            service_module, "ParallelBranchAndBoundSolver", counting_engine
-        )
-        with QueryService(
-            graph, "KTG-VKC-NLRNL", jobs_executor="thread", cache_capacity=0
-        ) as service:
-            self._hammer(8, lambda worker: service.submit(query, jobs=2))
-            assert len(built) == 1  # exactly one construction, no leaked loser
-            assert set(service._engines) == {
-                (service.graph_id, "jobs", 2, graph.version)
-            }
-
-    def test_distinct_fleet_sizes_get_distinct_engines(self, monkeypatch):
-        graph = make_random_attributed_graph(num_vertices=30, seed=5)
-        labels = tuple(sorted(graph.keyword_table)[:3])
-        query = KTGQuery(keywords=labels, group_size=2, tenuity=2, top_n=2)
-
-        real_engine = service_module.ParallelBranchAndBoundSolver
-        built = []
-
-        def counting_engine(*args, **kwargs):
-            engine = real_engine(*args, **kwargs)
-            built.append(engine)
-            return engine
-
-        monkeypatch.setattr(
-            service_module, "ParallelBranchAndBoundSolver", counting_engine
-        )
-        with QueryService(
-            graph, "KTG-VKC-NLRNL", jobs_executor="thread", cache_capacity=0
-        ) as service:
-            # Half the hammer asks for a 2-wide fleet, half for 3-wide:
-            # exactly one engine per (jobs, version) key may be built.
-            self._hammer(
-                8, lambda worker: service.submit(query, jobs=2 + worker % 2)
-            )
-            assert len(built) == 2
-            assert set(service._engines) == {
-                (service.graph_id, "jobs", 2, graph.version),
-                (service.graph_id, "jobs", 3, graph.version),
-            }
 
     def test_racing_thread_batches_share_one_pool(self, monkeypatch):
         graph = make_random_attributed_graph(num_vertices=30, seed=6)
@@ -335,46 +280,9 @@ class TestLazyInitRaces:
         leaked = set(glob.glob("/dev/shm/psm_*")) - baseline_shm
         assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
 
-    def test_racing_process_fleet_submits_leak_no_shm(self, monkeypatch):
-        # Process fleets with the CSR layout attach workers to a
-        # shared-memory graph snapshot; a duplicate engine built by a
-        # race loser used to orphan that segment.  One engine may be
-        # built, and closing the service must return /dev/shm to its
-        # baseline.
-        baseline_shm = set(glob.glob("/dev/shm/psm_*"))
-        graph = make_random_attributed_graph(num_vertices=25, seed=8)
-        labels = tuple(sorted(graph.keyword_table)[:3])
-        query = KTGQuery(keywords=labels, group_size=2, tenuity=2, top_n=2)
-
-        real_engine = service_module.ParallelBranchAndBoundSolver
-        built = []
-
-        def counting_engine(*args, **kwargs):
-            engine = real_engine(*args, **kwargs)
-            built.append(engine)
-            return engine
-
-        monkeypatch.setattr(
-            service_module, "ParallelBranchAndBoundSolver", counting_engine
-        )
-        with QueryService(
-            graph,
-            "KTG-VKC-NLRNL",
-            jobs_executor="process",
-            graph_layout="csr",
-            cache_capacity=0,
-        ) as service:
-            self._hammer(4, lambda worker: service.submit(query, jobs=2))
-            assert len(built) == 1
-            assert set(service._engines) == {
-                (service.graph_id, "jobs", 2, graph.version)
-            }
-        leaked = set(glob.glob("/dev/shm/psm_*")) - baseline_shm
-        assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
-
 
 class TestMixedInterleavings:
-    """Per-query fleets and batch pools interleaving from many threads."""
+    """Single submits and pooled batches interleaving from many threads."""
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_submit_jobs_and_run_batch_interleave(
@@ -389,14 +297,13 @@ class TestMixedInterleavings:
         ]
         failures = []
         # cache_capacity=0 keeps every path honest: each call really
-        # solves, so the batch pool and the jobs fleet are both built
+        # solves, so the shared oracle and the batch pool are both built
         # and exercised no matter how the threads interleave.
         with QueryService(
             graph,
             "KTG-VKC-NLRNL",
             max_workers=2,
             executor=executor,
-            jobs_executor="thread",
             cache_capacity=0,
         ) as service:
             barrier = threading.Barrier(4)
@@ -404,7 +311,7 @@ class TestMixedInterleavings:
             def submitter(worker):
                 barrier.wait()
                 for position, query in enumerate(queries):
-                    served = service.submit(query, jobs=2)
+                    served = service.submit(query)
                     if served.member_sets() != truth[position]:
                         failures.append(("submit", worker, position))
 
@@ -426,9 +333,4 @@ class TestMixedInterleavings:
             for thread in threads:
                 thread.join()
             assert not failures
-            # Both lazy layers were exercised: the jobs fleet registry
-            # holds exactly one engine, and the batch pool exists.
-            assert set(service._engines) == {
-                (service.graph_id, "jobs", 2, graph.version)
-            }
             assert service._pool is not None

@@ -60,22 +60,6 @@ class TestEquivalence:
         )
         assert fast == base
 
-    def test_per_query_jobs_identical(self, graph, queries):
-        base = serve_all(
-            QueryService(graph, cache_capacity=0), queries, parallel=False
-        )
-        fast = serve_all(
-            QueryService(
-                graph,
-                cache_capacity=0,
-                distance_engine="bitset",
-                jobs=2,
-                jobs_executor="inline",
-            ),
-            queries,
-        )
-        assert fast == base
-
 
 class TestKernelReuse:
     def test_ball_cache_survives_across_queries(self, graph, queries):

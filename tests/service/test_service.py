@@ -35,6 +35,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             QueryService(graph, executor="fibers")
 
+    @pytest.mark.parametrize(
+        "budgets",
+        [
+            {"time_budget": 0},
+            {"time_budget": -1.0},
+            {"time_budget": float("nan")},
+            {"node_budget": 0},
+            {"node_budget": -5},
+        ],
+    )
+    def test_non_positive_budget_rejected(self, graph, budgets):
+        (name,) = budgets
+        with pytest.raises(ValueError, match=name):
+            QueryService(graph, **budgets)
+
+    def test_jobs_argument_is_gone(self, graph, query):
+        with pytest.raises(TypeError):
+            QueryService(graph, jobs=2)
+        with QueryService(graph) as service:
+            with pytest.raises(TypeError):
+                service.submit(query, jobs=2)
+            with pytest.raises(TypeError):
+                service.run_batch([query], jobs=2)
+
 
 class TestSubmit:
     def test_miss_then_hit(self, graph, query):
