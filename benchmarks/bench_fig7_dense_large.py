@@ -7,24 +7,15 @@ the large DBLP profile: "KTG-VKC-DEG-NLRNL shows good scalability on
 the large graph, while KTG-VKC-NL is very slow ... with a large social
 constraint" (the NL index pays on-demand expansion when k exceeds its
 stored depth).
-
-The module also carries the kernel-backend comparison at whole-query
-granularity: the dense Twitter point solved cold (fresh ball cache per
-run) with the scalar python CSR kernels vs the numpy-vectorized twins,
-same ranked groups, >= 1.5x faster end to end.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from conftest import bench_runner, bench_workload, check_claim, register_bench_meta, run_point
+from conftest import register_bench_meta, run_point
 
 register_bench_meta("fig7_dense_large", figure="7", title="dense (Twitter) and large (DBLP) graphs")
-from repro.kernels.vec import numpy_available
-from repro.workloads.runner import ALGORITHMS
 from repro.workloads.sweep import DEFAULTS
 
 #: The large profile runs at a reduced scale to keep index build cost
@@ -66,77 +57,3 @@ def test_fig7b_dblp_large_social_constraint(benchmark, algorithm, k):
         top_n=DEFAULTS["top_n"],
     )
 
-
-# ----------------------------------------------------------------------
-# Kernel backend at whole-query granularity (dense Twitter, cold cache)
-# ----------------------------------------------------------------------
-BACKEND_ALGORITHM = "KTG-VKC-DEG-NLRNL"
-BACKEND_SETTINGS = dict(
-    keyword_size=DEFAULTS["keyword_size"],
-    group_size=4,
-    # The paper's "large social constraint" regime: k=3 balls span most
-    # of the dense graph, so cold ball construction dominates the query
-    # and the kernel backend is what the measurement isolates.
-    tenuity=3,
-    top_n=DEFAULTS["top_n"],
-)
-
-_backend_reference: dict[str, tuple[float, list]] = {}
-
-
-def _backend_run(kernel_backend: str) -> list:
-    """Solve the dense workload cold: a fresh solver (empty ball cache)
-    per run, so ball construction is inside the measured region."""
-    runner = bench_runner("twitter", DENSE_SCALE)
-    spec = ALGORITHMS[BACKEND_ALGORITHM]
-    oracle = runner.oracle_for(spec)
-    workload = bench_workload("twitter", DENSE_SCALE, **BACKEND_SETTINGS)
-    solver = spec.build_solver(
-        runner.graph,
-        oracle,
-        distance_engine="bitset",
-        graph_layout="csr",
-        kernel_backend=kernel_backend,
-    )
-    return [solver.solve(query).groups for query in workload]
-
-
-def _backend_python_baseline() -> tuple[float, list]:
-    if "python" not in _backend_reference:
-        _backend_run("python")  # warm graph/oracle/snapshot caches
-        started = time.perf_counter()
-        groups = _backend_run("python")
-        _backend_reference["python"] = (time.perf_counter() - started, groups)
-    return _backend_reference["python"]
-
-
-def test_fig7_dense_whole_query_backend_python(benchmark):
-    _backend_run("python")  # warm everything but the ball cache
-    groups = benchmark.pedantic(
-        lambda: _backend_run("python"), rounds=1, iterations=1
-    )
-    benchmark.extra_info["queries"] = len(groups)
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-def test_fig7_dense_whole_query_backend_numpy(benchmark):
-    python_seconds, reference_groups = _backend_python_baseline()
-    groups = benchmark.pedantic(
-        lambda: _backend_run("numpy"), rounds=1, iterations=1
-    )
-
-    # Bit-identical ranked groups across backends, per query.
-    assert groups == reference_groups
-
-    mean_s = benchmark.stats.stats.mean
-    speedup = python_seconds / mean_s if mean_s > 0 else float("inf")
-    benchmark.extra_info["queries"] = len(groups)
-    benchmark.extra_info["python_ms"] = round(python_seconds * 1000.0, 3)
-    benchmark.extra_info["speedup_vs_python"] = round(speedup, 2)
-
-    # The acceptance bar: vectorized kernels lift the cold whole-query
-    # path >= 1.5x on the dense profile.  Soft under --smoke.
-    check_claim(
-        speedup >= 1.5,
-        f"whole-query backend speedup {speedup:.2f}x < 1.5x on dense Twitter",
-    )

@@ -13,15 +13,12 @@ bookkeeping are engine-independent and dominate the remainder), so the
 solve pair records its speedup without a hard claim while asserting
 the results are bit-identical.
 
-Five views, one config:
+Four views, one config:
 
 * ``filter``  — the filtering primitive, oracle vs bitset (>= 3x claim);
-* ``vec``     — cold ball construction over the CSR arrays, scalar
-  python kernel vs the numpy-vectorized twin (>= 3x claim);
-* ``node_expansion`` — one full root-node expansion per query, the
-  scalar per-candidate loop vs the batched solver core's bulk
-  elimination + lexsort re-score (>= 2x claim, children asserted
-  bit-identical outside the timed region);
+* ``vec``     — cold ball construction over the CSR arrays through the
+  engine, with numpy hidden (``vec._np = None``, the scalar python
+  builder) vs importable (the numpy-vectorized twin) (>= 3x claim);
 * ``solve``   — end-to-end branch and bound, bit-identical top-N;
 * ``service`` — :class:`QueryService` batch over a repeated-k workload
   (result cache off, so ball reuse across queries is what is measured).
@@ -41,8 +38,7 @@ register_bench_meta(
 import pytest
 
 from repro.core.coverage import CoverageContext
-from repro.kernels import BallBitsetEngine
-from repro.kernels.vec import numpy_available
+from repro.kernels import BallBitsetEngine, vec
 from repro.service import QueryService
 from repro.workloads.runner import ALGORITHMS
 
@@ -210,66 +206,61 @@ def test_kernels_filter_bitset(benchmark):
 _vec_reference: dict[tuple, float] = {}
 
 
-def _scalar_ball_sweep(oracle) -> BallBitsetEngine:
-    """Build every vertex's k-ball through the scalar python CSR kernel
-    (``_build_ball_csr``), cache bypassed — the primitive itself."""
-    kernel = BallBitsetEngine(oracle, graph_layout="csr", kernel_backend="python")
-    build = kernel._build_ball_csr
-    for vertex in range(oracle.graph.num_vertices):
-        build(vertex, K)
-    return kernel
+def _ball_engine(oracle, numpy: bool) -> BallBitsetEngine:
+    """An uncached (``max_balls=0``) csr-layout engine on the numpy ball
+    builder, or — with numpy hidden through the ``vec._np`` seam while
+    the engine resolves its backend — on the scalar python one."""
+    with pytest.MonkeyPatch.context() as patch:
+        if not numpy:
+            patch.setattr(vec, "_np", None)
+        engine = BallBitsetEngine(oracle, max_balls=0, graph_layout="csr")
+    assert engine.backend == ("numpy" if numpy else "python")
+    return engine
 
 
-def _vec_ball_sweep(oracle) -> int:
-    """The numpy twin of :func:`_scalar_ball_sweep`: one
-    ``vec.ball_bits_csr`` call per vertex over the same CSR arrays."""
-    from repro.kernels import vec
-
-    np = vec.numpy_or_none()
-    snapshot = oracle.graph.csr_snapshot()
-    indptr = np.asarray(snapshot.indptr, dtype=np.int64)
-    indices = np.asarray(snapshot.indices, dtype=np.int64)
-    ball_bits_csr = vec.ball_bits_csr
-    balls = 0
-    for vertex in range(oracle.graph.num_vertices):
-        ball_bits_csr(indptr, indices, vertex, K)
-        balls += 1
-    return balls
+def _ball_sweep(engine: BallBitsetEngine) -> int:
+    """Build every vertex's k-ball cold (nothing is cached)."""
+    ball = engine.ball
+    for vertex in range(engine.graph.num_vertices):
+        ball(vertex, K)
+    return engine.graph.num_vertices
 
 
 def _vec_python_baseline(oracle) -> float:
-    """Warm scalar-kernel sweep wall-clock (cached across tests)."""
+    """Warm scalar-builder sweep wall-clock (cached across tests)."""
     key = (id(oracle), oracle.graph.num_vertices)
     if key not in _vec_reference:
-        _scalar_ball_sweep(oracle)  # warm (CSR snapshot build)
+        engine = _ball_engine(oracle, numpy=False)
+        _ball_sweep(engine)  # warm (CSR snapshot build)
         started = time.perf_counter()
-        _scalar_ball_sweep(oracle)
+        _ball_sweep(engine)
         _vec_reference[key] = time.perf_counter() - started
     return _vec_reference[key]
 
 
 def test_kernels_vec_build_python(benchmark):
     _, _, oracle = _spec_and_oracle()
-    _scalar_ball_sweep(oracle)  # warm the CSR snapshot
+    engine = _ball_engine(oracle, numpy=False)
+    _ball_sweep(engine)  # warm the CSR snapshot
 
-    benchmark.pedantic(lambda: _scalar_ball_sweep(oracle), rounds=1, iterations=1)
-    benchmark.extra_info["balls"] = oracle.graph.num_vertices
+    balls = benchmark.pedantic(lambda: _ball_sweep(engine), rounds=1, iterations=1)
+    benchmark.extra_info["balls"] = balls
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+@pytest.mark.skipif(not vec.numpy_available(), reason="numpy not importable")
 def test_kernels_vec_build_numpy(benchmark):
     _, _, oracle = _spec_and_oracle()
+    scalar = _ball_engine(oracle, numpy=False)
+    vectorized = _ball_engine(oracle, numpy=True)
 
-    # Bit-identical balls through the engine, checked outside timing.
-    scalar = BallBitsetEngine(oracle, graph_layout="csr", kernel_backend="python")
-    vectorized = BallBitsetEngine(oracle, graph_layout="csr", kernel_backend="numpy")
+    # Bit-identical balls, checked outside timing.
     for vertex in range(0, oracle.graph.num_vertices, 7):
         assert vectorized.ball(vertex, K) == scalar.ball(vertex, K)
 
     python_seconds = _vec_python_baseline(oracle)
-    _vec_ball_sweep(oracle)  # warm the numpy CSR arrays
+    _ball_sweep(vectorized)  # warm the numpy CSR arrays
     balls = benchmark.pedantic(
-        lambda: _vec_ball_sweep(oracle), rounds=1, iterations=1
+        lambda: _ball_sweep(vectorized), rounds=1, iterations=1
     )
 
     mean_s = benchmark.stats.stats.mean
@@ -284,142 +275,6 @@ def test_kernels_vec_build_numpy(benchmark):
     check_claim(
         speedup >= 3.0,
         f"vectorized ball build speedup {speedup:.2f}x < 3x over python CSR path",
-    )
-
-
-# ----------------------------------------------------------------------
-# Node expansion: scalar per-candidate loop vs the batched solver core
-# ----------------------------------------------------------------------
-_expand_reference: dict[tuple, float] = {}
-
-#: The expansion pair runs at full fig7 scale with wide queries: the
-#: batched core's bulk primitives amortise per-call dispatch over the
-#: frontier, so the contrast is measured where frontiers are hundreds
-#: of candidates (the regime deep solves spend their time in), not the
-#: small-frontier config the rest of the module shares.
-EXPAND_SCALE = 1.0
-EXPAND_KEYWORDS = 10
-
-
-def _expansion_inputs():
-    """Root frontiers and contexts for every workload query — the node
-    family both expansion sweeps walk, one child per frontier member."""
-    runner = bench_runner("twitter", EXPAND_SCALE)
-    spec = ALGORITHMS[ALGORITHM]
-    oracle = runner.oracle_for(spec)
-    strategy = spec.build_solver(runner.graph, oracle).strategy
-    queries = bench_workload(
-        "twitter",
-        EXPAND_SCALE,
-        keyword_size=EXPAND_KEYWORDS,
-        group_size=4,
-        tenuity=K,
-        top_n=3,
-    )
-    contexts = [CoverageContext(runner.graph, q.keywords) for q in queries]
-    frontiers = [
-        strategy.initial_order(ctx.qualified_vertices(), ctx) for ctx in contexts
-    ]
-    return runner, strategy, oracle, contexts, frontiers
-
-
-def _scalar_expand_sweep(kernel, strategy, contexts, frontiers):
-    """One full root-node expansion per query through the scalar
-    primitives, exactly as ``_search`` runs them on the python backend:
-    threaded tail bitset, per-child ``filter_mask`` + ``select``, then
-    the strategy's python ``sorted`` re-order."""
-    out = []
-    for context, frontier in zip(contexts, frontiers):
-        masks = context.masks
-        tail_mask = kernel.encode(frontier)
-        for position, vertex in enumerate(frontier):
-            tail_mask &= ~(1 << vertex)
-            rest_mask = kernel.filter_mask(tail_mask, vertex, K)
-            rest = frontier[position + 1 :]
-            if rest_mask.bit_count() != len(rest):
-                rest = kernel.select(rest, tail_mask, rest_mask)
-            out.append(strategy.reorder(rest, masks[vertex], context))
-    return out
-
-
-def _batched_expand_sweep(solver, contexts, frontiers):
-    """The batched twin: one ``make_node`` per frontier, then per child
-    a bulk keep-vector elimination plus one lexsort re-score."""
-    out = []
-    for context, frontier in zip(contexts, frontiers):
-        batch = solver._solve_batch(context)
-        masks = context.masks
-        node = batch.make_node(frontier, 0)
-        for position, vertex in enumerate(frontier):
-            keep, survivors = batch.eliminate(node, position, vertex, K)
-            if survivors == len(frontier) - position - 1:
-                child = batch.child_tail(node, position, False)
-            else:
-                child = batch.child_after_elimination(node, position, keep, False)
-            rest, _ = batch.reorder(child, masks[vertex])
-            out.append(rest)
-    return out
-
-
-def _expand_scalar_baseline(kernel, strategy, contexts, frontiers) -> float:
-    key = (id(kernel), sum(map(len, frontiers)))
-    if key not in _expand_reference:
-        _scalar_expand_sweep(kernel, strategy, contexts, frontiers)  # warm balls
-        started = time.perf_counter()
-        _scalar_expand_sweep(kernel, strategy, contexts, frontiers)
-        _expand_reference[key] = time.perf_counter() - started
-    return _expand_reference[key]
-
-
-def test_kernels_node_expansion_python(benchmark):
-    _, strategy, oracle, contexts, frontiers = _expansion_inputs()
-    kernel = BallBitsetEngine(oracle, kernel_backend="python")
-    _scalar_expand_sweep(kernel, strategy, contexts, frontiers)  # warm balls
-
-    benchmark.pedantic(
-        lambda: _scalar_expand_sweep(kernel, strategy, contexts, frontiers),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["expansions"] = sum(map(len, frontiers))
-    benchmark.extra_info["frontier_sizes"] = [len(f) for f in frontiers]
-
-
-@pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
-def test_kernels_node_expansion_numpy(benchmark):
-    runner, strategy, oracle, contexts, frontiers = _expansion_inputs()
-    scalar_kernel = BallBitsetEngine(oracle, kernel_backend="python")
-    solver = ALGORITHMS[ALGORITHM].build_solver(
-        runner.graph, oracle, distance_engine="bitset", kernel_backend="numpy"
-    )
-
-    # Bit-identical children, checked outside the timed region: every
-    # child's surviving candidate list, in final strategy order.
-    expected = _scalar_expand_sweep(scalar_kernel, strategy, contexts, frontiers)
-    assert _batched_expand_sweep(solver, contexts, frontiers) == expected
-
-    python_seconds = _expand_scalar_baseline(
-        scalar_kernel, strategy, contexts, frontiers
-    )
-    _batched_expand_sweep(solver, contexts, frontiers)  # warm byte balls
-    benchmark.pedantic(
-        lambda: _batched_expand_sweep(solver, contexts, frontiers),
-        rounds=1,
-        iterations=1,
-    )
-
-    mean_s = benchmark.stats.stats.mean
-    speedup = python_seconds / mean_s if mean_s > 0 else float("inf")
-    benchmark.extra_info["expansions"] = sum(map(len, frontiers))
-    benchmark.extra_info["python_ms"] = round(python_seconds * 1000.0, 3)
-    benchmark.extra_info["speedup_vs_python"] = round(speedup, 2)
-
-    # The acceptance bar: batched expansion (bulk elimination + lexsort
-    # re-score) beats the scalar per-candidate loop >= 2x on the dense
-    # config.  Soft under --smoke (tiny frontiers are all dispatch).
-    check_claim(
-        speedup >= 2.0,
-        f"batched node expansion speedup {speedup:.2f}x < 2x over scalar path",
     )
 
 

@@ -132,16 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["adjacency", "csr"],
         help="traversal layout: per-vertex adjacency sets or the flat CSR snapshot",
     )
-    query.add_argument(
-        "--kernel-backend",
-        default="auto",
-        choices=["auto", "numpy", "python"],
-        help=(
-            "bitset-kernel and batched solver-core vectorization: auto "
-            "(numpy when importable), numpy (forced; errors without "
-            "numpy) or python (scalar); bit-identical either way"
-        ),
-    )
 
     batch = commands.add_parser(
         "batch", help="serve a generated query batch through the QueryService"
@@ -173,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--passes",
-        type=int,
+        type=_positive_int,
         default=2,
         help="times to serve the same workload (pass 2+ exercises the cache)",
     )
@@ -200,12 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="adjacency",
         choices=["adjacency", "csr"],
         help="traversal layout for oracle builds and process-worker solves",
-    )
-    batch.add_argument(
-        "--kernel-backend",
-        default="auto",
-        choices=["auto", "numpy", "python"],
-        help="bitset-kernel and batched solver-core backend for the service",
     )
 
     serve = commands.add_parser(
@@ -282,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="adjacency",
         choices=["adjacency", "csr"],
         help="traversal layout for oracle builds and solves",
-    )
-    serve.add_argument(
-        "--kernel-backend",
-        default="auto",
-        choices=["auto", "numpy", "python"],
-        help="bitset-kernel and batched solver-core vectorization backend",
     )
     serve.add_argument(
         "--mutations",
@@ -418,12 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="traversal layout for the instrumented solve",
     )
     stats.add_argument(
-        "--kernel-backend",
-        default="auto",
-        choices=["auto", "numpy", "python"],
-        help="bitset-kernel and batched solver-core backend for the instrumented solve",
-    )
-    stats.add_argument(
         "--churn",
         type=int,
         default=0,
@@ -548,15 +520,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
             tenuity=args.tenuity,
             top_n=args.top_n,
         )
-    oracle = spec.build_oracle(
-        graph, graph_layout=args.graph_layout, kernel_backend=args.kernel_backend
-    )
+    oracle = spec.build_oracle(graph, graph_layout=args.graph_layout)
     solver = spec.build_solver(
         graph,
         oracle,
         distance_engine=args.distance_engine,
         graph_layout=args.graph_layout,
-        kernel_backend=args.kernel_backend,
     )
     result = solver.solve(query)
     print(result)
@@ -589,7 +558,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         node_budget=args.node_budget,
         distance_engine=args.distance_engine,
         graph_layout=args.graph_layout,
-        kernel_backend=args.kernel_backend,
     ) as service:
         pass_rows = []
         for pass_number in range(1, args.passes + 1):
@@ -640,7 +608,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         distance_engine=args.distance_engine,
         graph_layout=args.graph_layout,
-        kernel_backend=args.kernel_backend,
         mutations=args.mutations,
         epoch_rotate_after=args.rotate_after,
         epoch_max_delta=args.max_delta,
@@ -660,7 +627,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_capacity=args.cache_capacity,
             distance_engine=args.distance_engine,
             graph_layout=args.graph_layout,
-            kernel_backend=args.kernel_backend,
         )
         for profile in (p.strip() for p in args.graphs.split(",")):
             if not profile:
@@ -873,7 +839,6 @@ def _cmd_stats_churn(args: argparse.Namespace, graph, vocabulary) -> int:
         epoch_max_delta=4 * rotate_after,
         epoch_rotate_sync=True,
         distance_engine=args.distance_engine,
-        kernel_backend=args.kernel_backend,
     ) as service:
         n = graph.num_vertices
         for step in range(args.churn):
@@ -911,9 +876,7 @@ def _cmd_stats_solve(args: argparse.Namespace, graph) -> int:
         tenuity=args.tenuity,
         top_n=args.top_n,
     )
-    oracle = spec.build_oracle(
-        graph, graph_layout=args.graph_layout, kernel_backend=args.kernel_backend
-    )
+    oracle = spec.build_oracle(graph, graph_layout=args.graph_layout)
     oracle.stats.reset_usage()
     registry = InstrumentRegistry()
     options: dict = {"graph_layout": args.graph_layout}
@@ -927,7 +890,6 @@ def _cmd_stats_solve(args: argparse.Namespace, graph) -> int:
             oracle,
             instruments=registry,
             graph_layout=args.graph_layout,
-            kernel_backend=args.kernel_backend,
         )
     solver = spec.build_solver(graph, oracle, **options)
     result = solver.solve(query, hooks=InstrumentingHooks(registry))

@@ -25,12 +25,6 @@ Both rules can be disabled (``keyword_pruning=False`` /
 ``kline_filtering=False``) for the pruning ablation; with filtering off
 the solver falls back to checking all pairwise distances when a group
 reaches size ``p``, which preserves exactness.
-
-On the numpy kernel backend the expansion primitives themselves run
-frontier-at-a-time: candidate scoring, re-sorting, k-line elimination
-and the admissible bounds are computed over packed arrays by
-:mod:`repro.kernels.solve`, node-by-node results staying bit-identical
-to the scalar path (same groups, same :class:`SearchStats`).
 """
 
 from __future__ import annotations
@@ -53,7 +47,6 @@ from repro.index.bfs import BFSOracle
 
 if TYPE_CHECKING:  # hooks are duck-typed at runtime (no repro.obs import)
     from repro.kernels.engine import BallBitsetEngine
-    from repro.kernels.solve import NodeBatch, SolveBatch
     from repro.obs.hooks import SolverHooks
 
 __all__ = ["SearchStats", "KTGResult", "BranchAndBoundSolver"]
@@ -184,18 +177,6 @@ class BranchAndBoundSolver:
         and :class:`SearchStats` are bit-identical across layouts —
         only traversal speed changes.  An explicitly supplied
         *oracle*/*kernel* keeps whatever layout it was built with.
-    kernel_backend:
-        Vectorization backend for a lazily-built bitset kernel:
-        ``"auto"`` (default) uses the numpy kernels from
-        :mod:`repro.kernels.vec` when numpy is importable, ``"numpy"``
-        forces them, ``"python"`` forces the scalar kernels.  On the
-        numpy backend the solver additionally batches its own expansion
-        primitives — frontier-wide scoring, lexsort re-ordering, bulk
-        k-line elimination and prefix-OR bounds via
-        :mod:`repro.kernels.solve` — for the built-in ordering
-        strategies.  Groups and :class:`SearchStats` are bit-identical
-        across backends.  An explicitly supplied *kernel* keeps its own
-        backend.
 
     Examples
     --------
@@ -219,7 +200,6 @@ class BranchAndBoundSolver:
         distance_engine: str = "oracle",
         kernel: Optional["BallBitsetEngine"] = None,
         graph_layout: str = "adjacency",
-        kernel_backend: str = "auto",
     ) -> None:
         if node_budget is not None and node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {node_budget}")
@@ -227,7 +207,6 @@ class BranchAndBoundSolver:
             raise ValueError(f"time_budget must be positive, got {time_budget}")
         self.graph = graph
         self.graph_layout = validate_graph_layout(graph_layout)
-        self.kernel_backend = kernel_backend
         self.oracle = (
             oracle
             if oracle is not None
@@ -241,19 +220,13 @@ class BranchAndBoundSolver:
         self.time_budget = time_budget
         if kernel is None and distance_engine == "oracle":
             self.kernel: Optional["BallBitsetEngine"] = None
-            if kernel_backend != "auto":
-                # Still validate the string so typos fail loudly on the
-                # oracle path too (lazy import, same rationale as below).
-                from repro.kernels.vec import validate_kernel_backend
-
-                validate_kernel_backend(kernel_backend)
         else:
             # Lazy import: repro.kernels pulls in repro.obs, which this
             # module otherwise avoids at runtime (hooks are duck-typed).
             from repro.kernels.engine import resolve_distance_engine
 
             self.kernel = resolve_distance_engine(
-                distance_engine, self.oracle, kernel, graph_layout, kernel_backend
+                distance_engine, self.oracle, kernel, graph_layout
             )
         self.distance_engine = "bitset" if self.kernel is not None else "oracle"
         self._deadline: Optional[float] = None
@@ -262,9 +235,6 @@ class BranchAndBoundSolver:
         # KTGQuery.cached_context memo entry alive between solves of the
         # same keywords without pinning contexts globally.
         self._last_context: Optional[CoverageContext] = None
-        # (context, SolveBatch-or-None) pair for the batched expansion
-        # core; identity-keyed so repeat solves of one context reuse it.
-        self._batch_cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     @property
@@ -373,22 +343,6 @@ class BranchAndBoundSolver:
             stats.kline_removed += before - len(qualified)
         return qualified
 
-    def _solve_batch(self, context: CoverageContext) -> Optional["SolveBatch"]:
-        """The batched expansion core for *context*, or ``None``.
-
-        Built once per (solver, context) pair and cached by context
-        identity; ``None`` is cached too (python backend, opted-out
-        strategy), so the per-node cost is one tuple identity check.
-        """
-        cache = self._batch_cache
-        if cache is not None and cache[0] is context:
-            return cache[1]
-        from repro.kernels.solve import SolveBatch
-
-        batch = SolveBatch.for_solver(self, context)
-        self._batch_cache = (context, batch)
-        return batch
-
     def _search(
         self,
         members: list[int],
@@ -399,7 +353,6 @@ class BranchAndBoundSolver:
         pool: TopNPool,
         stats: SearchStats,
         remaining_mask: Optional[int] = None,
-        node_batch: Optional["NodeBatch"] = None,
     ) -> None:
         stats.nodes_expanded += 1
         hooks = self._hooks
@@ -425,32 +378,15 @@ class BranchAndBoundSolver:
                 hooks.node_exhausted(tuple(members))
             return
 
-        # Frontier-at-a-time expansion: pack the candidate list once and
-        # run scoring / elimination / bounds over arrays.  Children
-        # inherit views of the parent's arrays; below the width cutoff
-        # the node runs the (bit-identical) scalar path instead.
-        batch = self._solve_batch(context) if self.kernel is not None else None
-        node = node_batch
-        if batch is not None:
-            if len(remaining) < batch.min_candidates:
-                node = None
-            elif node is None:
-                node = batch.make_node(remaining, covered_mask)
-        else:
-            node = None
-
         if self.keyword_pruning:
-            if node is not None:
-                bound, rule = batch.prune_decision(covered_mask, node, slots)
-            else:
-                bound, rule = keyword_prune_decision(
-                    covered_mask,
-                    remaining,
-                    slots,
-                    context,
-                    presorted_by_vkc=self.strategy.vkc_descending,
-                    use_union_bound=self.use_union_bound,
-                )
+            bound, rule = keyword_prune_decision(
+                covered_mask,
+                remaining,
+                slots,
+                context,
+                presorted_by_vkc=self.strategy.vkc_descending,
+                use_union_bound=self.use_union_bound,
+            )
             if bound <= pool.threshold:
                 stats.keyword_prunes += 1
                 stats.node_prunes += 1
@@ -464,19 +400,18 @@ class BranchAndBoundSolver:
         if slots == 1:
             stats.nodes_completed += 1
             self._complete_groups(
-                members, covered_mask, remaining, query, context, pool, stats, node
+                members, covered_mask, remaining, query, context, pool, stats
             )
             return
 
         stats.nodes_interior += 1
         kernel = self.kernel
         tail_mask = 0
-        if kernel is not None and self.kline_filtering and node is None:
+        if kernel is not None and self.kline_filtering:
             # The tail bitset is threaded through the recursion: it is
             # encoded once per node (or inherited from the parent's
             # filter) and shrunk per iteration, so each k-line filter is
             # whole-mask arithmetic instead of a per-candidate loop.
-            # (A batched node replaces it with array keep-vectors.)
             tail_mask = (
                 remaining_mask if remaining_mask is not None
                 else kernel.encode(remaining)
@@ -487,32 +422,7 @@ class BranchAndBoundSolver:
                 break
             new_mask = covered_mask | masks[vertex]
             rest_mask: Optional[int] = None
-            child: Optional["NodeBatch"] = None
-            if node is not None and self.kline_filtering:
-                # Bulk Theorem 3: one gather over the member's ball
-                # bytes answers the whole tail; survivors == the scalar
-                # path's rest_mask popcount.
-                keep, survivors = batch.eliminate(node, position, vertex, query.tenuity)
-                stats.kline_removed += tail_len - survivors
-                if hooks is not None:
-                    hooks.candidates_filtered(vertex, tail_len, survivors)
-                if survivors < slots - 1:
-                    members.append(vertex)
-                    self._expand_exhausted(members, slots - 1, survivors, stats)
-                    members.pop()
-                    continue
-                if survivors == tail_len:
-                    rest = remaining[position + 1 :]
-                    child = batch.child_tail(node, position, new_mask == covered_mask)
-                else:
-                    # The scalar list is materialised lazily below: when
-                    # a reorder follows it returns the permuted list
-                    # itself and the pre-reorder list would be dead work.
-                    rest = None
-                    child = batch.child_after_elimination(
-                        node, position, keep, new_mask == covered_mask
-                    )
-            elif self.kline_filtering and kernel is not None:
+            if self.kline_filtering and kernel is not None:
                 # Mask-first filtering: compute the surviving bitset and
                 # prune on its popcount before paying the O(|tail|) list
                 # rebuild.  When fewer candidates survive than slots
@@ -541,22 +451,13 @@ class BranchAndBoundSolver:
                     hooks.candidates_filtered(vertex, tail_len, len(rest))
             else:
                 rest = remaining[position + 1 :]
-                if node is not None:
-                    child = batch.child_tail(node, position, new_mask == covered_mask)
             # Re-sorting is only needed when the covered set actually
             # changed: VKC values are a function of the covered mask, and
             # filtering preserves relative order.
             if self.strategy.resorts and new_mask != covered_mask:
-                if child is not None:
-                    rest, child = batch.reorder(child, new_mask)
-                else:
-                    rest = self.strategy.reorder(rest, new_mask, context)
-            if rest is None:
-                rest = child.ids.tolist()
+                rest = self.strategy.reorder(rest, new_mask, context)
             members.append(vertex)
-            self._search(
-                members, new_mask, rest, query, context, pool, stats, rest_mask, child
-            )
+            self._search(members, new_mask, rest, query, context, pool, stats, rest_mask)
             members.pop()
 
     def _expand_exhausted(
@@ -601,22 +502,16 @@ class BranchAndBoundSolver:
         context: CoverageContext,
         pool: TopNPool,
         stats: SearchStats,
-        node_batch: Optional["NodeBatch"] = None,
     ) -> None:
         """Leaf level: one slot left, every remaining candidate completes
         a group.  Inlined (no recursion) because leaves dominate the node
         count; under VKC ordering *remaining* is sorted by gain, so the
-        scan stops as soon as no completion can enter the pool.  With a
-        batched node every candidate's gain arrives precomputed (one
-        vectorized sweep) instead of a per-candidate popcount."""
+        scan stops as soon as no completion can enter the pool."""
         masks = context.masks
         covered_bits = covered_mask.bit_count()
         coverage_of = _coverage_values(context.query_size)
         sorted_by_gain = self.strategy.vkc_descending
         uncovered = ~covered_mask
-        gains_list: Optional[list[int]] = None
-        if node_batch is not None:
-            gains_list = self._solve_batch(context).leaf_gains(node_batch, covered_mask)
         hooks = self._hooks
         kernel = self.kernel
         prefix_tenuous = True
@@ -644,12 +539,7 @@ class BranchAndBoundSolver:
                 if hooks is not None:
                     hooks.budget_tripped("time", tuple(members))
                 raise _BudgetExhausted
-            gain = (
-                gains_list[position]
-                if gains_list is not None
-                else (masks[vertex] & uncovered).bit_count()
-            )
-            coverage = coverage_of[covered_bits + gain]
+            coverage = coverage_of[covered_bits + (masks[vertex] & uncovered).bit_count()]
             if (
                 sorted_by_gain
                 and self.keyword_pruning

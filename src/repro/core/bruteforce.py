@@ -46,20 +46,16 @@ class BruteForceSolver:
         check_prefix_tenuity: bool = True,
         distance_engine: str = "oracle",
         kernel=None,
-        kernel_backend: str = "auto",
     ) -> None:
         self.graph = graph
         self.oracle = oracle if oracle is not None else BFSOracle(graph)
         self.check_prefix_tenuity = check_prefix_tenuity
-        self.kernel_backend = kernel_backend
         if kernel is None and distance_engine == "oracle":
             self.kernel = None
         else:
             from repro.kernels.engine import resolve_distance_engine
 
-            self.kernel = resolve_distance_engine(
-                distance_engine, self.oracle, kernel, kernel_backend=kernel_backend
-            )
+            self.kernel = resolve_distance_engine(distance_engine, self.oracle, kernel)
         self.distance_engine = "bitset" if self.kernel is not None else "oracle"
 
     @property

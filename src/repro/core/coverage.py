@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable, Sequence
-from typing import Any, Optional
 
 from repro.core.errors import QueryValidationError
 from repro.core.graph import AttributedGraph
@@ -79,7 +78,6 @@ class CoverageContext:
         "full_mask",
         "masks",
         "sort_tables",
-        "_packed",
         "__weakref__",
     )
 
@@ -120,7 +118,6 @@ class CoverageContext:
         #: :mod:`repro.core.strategies`): ``(strategy, covered_mask)`` ->
         #: vertex -> sort key.  It lives and dies with this context.
         self.sort_tables: dict[tuple[object, int], dict[int, int]] = {}
-        self._packed: Optional[tuple[int, Any]] = None
 
     # ------------------------------------------------------------------
     # Mask-level API (used by the solver hot path)
@@ -128,29 +125,6 @@ class CoverageContext:
     def mask_of(self, vertex: int) -> int:
         """Bitmask of query keywords carried by *vertex*."""
         return self.masks[vertex]
-
-    def packed_masks(self, mask_bytes: Optional[int] = None) -> Any:
-        """The mask table as one ``(num_vertices, mask_bytes)`` uint8 matrix.
-
-        Row ``v`` is ``masks[v]`` little-endian — the layout the batched
-        solver core (:mod:`repro.kernels.solve`) scores against.  Packed
-        once per context and cached, so every node family of a solve
-        (and every solver clone sharing this context) reuses the same
-        matrix instead of re-packing per node.  *mask_bytes* defaults to
-        the query's natural width; requires numpy.
-        """
-        if mask_bytes is None:
-            mask_bytes = (self.query_size + 7) >> 3
-        cached = self._packed
-        if cached is not None and cached[0] == mask_bytes:
-            return cached[1]
-        from repro.kernels.vec import pack_masks
-
-        matrix = pack_masks(self.masks, mask_bytes)
-        # Benign race under the GIL: concurrent packers build identical
-        # matrices and the last assignment wins.
-        self._packed = (mask_bytes, matrix)
-        return matrix
 
     def union_mask(self, vertices: Iterable[int]) -> int:
         """OR of the member masks of *vertices*."""

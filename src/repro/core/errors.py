@@ -22,7 +22,6 @@ __all__ = [
     "SnapshotError",
     "SnapshotAttachError",
     "EpochError",
-    "KernelBackendError",
     "RegistryError",
     "UnknownGraphError",
     "DatasetError",
@@ -119,15 +118,6 @@ class EpochError(SnapshotError):
     :class:`repro.core.epoch.EpochManager`, or enabling epoch serving
     on a service configuration that cannot support it (see
     ``QueryService(mutations=True)``).
-    """
-
-
-class KernelBackendError(ReproError, RuntimeError):
-    """Raised when a vectorized kernel backend cannot be used.
-
-    The canonical cause is forcing ``kernel_backend="numpy"`` in an
-    environment where numpy is not importable; ``"auto"`` falls back to
-    the pure-python kernels instead of raising.
     """
 
 

@@ -99,7 +99,6 @@ class KeywordIndex:
                 masks[vertex] |= bit
         context.masks = masks
         context.sort_tables = {}
-        context._packed = None
         return context
 
     def qualified_count(self, query_keywords: Sequence[str]) -> int:

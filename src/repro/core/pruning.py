@@ -25,24 +25,11 @@ import heapq
 from repro.core.coverage import CoverageContext
 
 __all__ = [
-    "bound_from_vkc_sum",
     "top_vkc_bound",
     "union_bound",
     "keyword_prune_bound",
     "keyword_prune_decision",
 ]
-
-
-def bound_from_vkc_sum(covered_mask: int, vkc_sum: int, context: CoverageContext) -> float:
-    """Theorem 2's final arithmetic, shared by every bound path.
-
-    Both the scalar bound below and the batched twin
-    (:mod:`repro.kernels.solve`) reduce to an integer top-``slots`` VKC
-    sum; funnelling the float division through one function guarantees
-    equal integer inputs give the identical float — the invariant the
-    backend bit-identity property tests rely on.
-    """
-    return (covered_mask.bit_count() + vkc_sum) / context.query_size
 
 
 def top_vkc_bound(
@@ -69,7 +56,7 @@ def top_vkc_bound(
     else:
         gains = ((masks[v] & uncovered).bit_count() for v in candidates)
         vkc_sum = sum(heapq.nlargest(slots, gains))
-    return bound_from_vkc_sum(covered_mask, vkc_sum, context)
+    return (covered_mask.bit_count() + vkc_sum) / context.query_size
 
 
 def union_bound(covered_mask: int, candidates: list[int], context: CoverageContext) -> float:

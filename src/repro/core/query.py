@@ -97,9 +97,8 @@ class KTGQuery:
         """A :class:`repro.core.coverage.CoverageContext` for this query
         on *graph*, memoised per ``(graph, graph.version, keywords)``.
 
-        The packed keyword masks (and the batched solver core's mask
-        matrix and re-sort memo cached inside the context) are a pure
-        function of that triple, so repeat solves of the same keywords —
+        The packed keyword masks (and the re-sort memo cached inside
+        the context) are a pure function of that triple, so repeat solves of the same keywords —
         DKTG-Greedy rounds, warm service traffic — skip the per-solve
         re-pack.  The memo holds contexts weakly: it never extends a
         context's lifetime (solvers keep the last context alive between

@@ -27,7 +27,7 @@ oracle.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Literal, Optional
+from typing import Callable, Literal
 
 from repro.core.coverage import CoverageContext
 
@@ -68,18 +68,6 @@ class OrderingStrategy(abc.ABC):
         covers *covered_mask*.  Default: keep the incoming order."""
         return candidates
 
-    def batch_sort_spec(self) -> Optional[tuple]:
-        """Recipe for the vectorized ordering twin, or ``None`` to opt out.
-
-        The batched solver core (:mod:`repro.kernels.solve`) replicates
-        a strategy's sort as one ``np.lexsort`` when this returns
-        ``(kind, degree_sign, degrees)``; ``kind`` names which built-in
-        scalar sort must be reproduced bit for bit.  The default
-        ``None`` keeps custom strategies on the scalar path — their
-        ``reorder`` is the only source of truth for their order.
-        """
-        return None
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -100,9 +88,6 @@ class QKCOrdering(OrderingStrategy):
     def initial_order(self, candidates: list[int], context: CoverageContext) -> list[int]:
         masks = context.masks
         return sorted(candidates, key=lambda v: -masks[v].bit_count())
-
-    def batch_sort_spec(self) -> Optional[tuple]:
-        return ("qkc", 0, None)
 
 
 class _MemoizedKeyOrdering(OrderingStrategy):
@@ -156,9 +141,6 @@ class VKCOrdering(_MemoizedKeyOrdering):
         uncovered = ~covered_mask
         return lambda v: -(masks[v] & uncovered).bit_count()
 
-    def batch_sort_spec(self) -> Optional[tuple]:
-        return ("vkc", 0, None)
-
 
 class VKCDegreeOrdering(_MemoizedKeyOrdering):
     """VKC ordering with vertex degree as the tie-break (Section IV-B).
@@ -202,12 +184,6 @@ class VKCDegreeOrdering(_MemoizedKeyOrdering):
         # per element is measurably cheaper than tuple keys in this hot
         # path.
         return lambda v: -((masks[v] & uncovered).bit_count() << 32) + sign * degrees[v]
-
-    def batch_sort_spec(self) -> Optional[tuple]:
-        # The composite int key above orders exactly like the pair
-        # (-gain, sign * degree) because |sign * degree| < 2**31; the
-        # batched twin lexsorts that pair (see repro.kernels.solve).
-        return ("vkc-deg", self._degree_sign, self._degrees)
 
     def __repr__(self) -> str:
         return f"VKCDegreeOrdering(degree_order={self.degree_order!r})"

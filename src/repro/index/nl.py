@@ -76,15 +76,12 @@ class NLIndex(DistanceOracle):
         arrays.  Identical level sets either way — only the build
         speed differs.  On-demand expansion always uses
         ``adjacency_view()`` (a :class:`~repro.core.csr.CsrGraphView`
-        materialises one on first use).
-    kernel_backend:
-        ``"auto"`` (default) routes csr-layout builds through the
+        materialises one on first use).  Csr-layout builds run the
         numpy-vectorized BFS of :mod:`repro.kernels.vec` when numpy is
-        importable; ``"python"`` keeps the scalar csr kernel and
-        ``"numpy"`` forces vectorization.  Level sets, the auto-depth
-        choice and :attr:`stats` are identical across backends (the
-        vectorized kernel sorts within a level, which the stored sets
-        erase).  Ignored for the adjacency layout.
+        importable and the scalar csr kernel otherwise; level sets, the
+        auto-depth choice and :attr:`stats` are identical either way
+        (the vectorized kernel sorts within a level, which the stored
+        sets erase).
 
     Examples
     --------
@@ -104,12 +101,10 @@ class NLIndex(DistanceOracle):
         depth: Union[int, Literal["auto"]] = "auto",
         rng: random.Random | None = None,
         graph_layout: str = "adjacency",
-        kernel_backend: str = "auto",
     ) -> None:
-        # rebuild() (called at the end of __init__) reads these to pick
+        # rebuild() (called at the end of __init__) reads this to pick
         # the traversal kernel.
         self.graph_layout = validate_graph_layout(graph_layout)
-        self.kernel_backend = kernel_backend
         super().__init__(graph)
         if depth != "auto" and (not isinstance(depth, int) or depth < 1):
             raise IndexBuildError(f"depth must be a positive int or 'auto', got {depth!r}")
@@ -148,12 +143,10 @@ class NLIndex(DistanceOracle):
             indptr, indices = snapshot.indptr, snapshot.indices
             # Lazy import: repro.index stays importable without pulling
             # the kernels package unless a csr build asks for it.
-            from repro.kernels.vec import resolve_kernel_backend
+            from repro.kernels import vec
 
-            if resolve_kernel_backend(self.kernel_backend) == "numpy":
-                from repro.kernels import vec
-
-                np = vec.numpy_or_none()
+            np = vec.numpy_or_none()
+            if np is not None:
                 np_indptr = np.asarray(indptr, dtype=np.int64)
                 np_indices = np.asarray(indices, dtype=np.int64)
 

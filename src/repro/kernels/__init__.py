@@ -2,9 +2,8 @@
 
 See :mod:`repro.kernels.engine` for the representation and the cache /
 fallback semantics, :mod:`repro.kernels.vec` for the numpy-vectorized
-twins and backend selection, :mod:`repro.kernels.solve` for the
-frontier-at-a-time batched expansion primitives, and
-``docs/kernels.md`` for the design notes.
+twins used whenever numpy is importable, and ``docs/kernels.md`` for
+the design notes.
 """
 
 from repro.kernels.engine import (
@@ -12,23 +11,12 @@ from repro.kernels.engine import (
     BallBitsetEngine,
     resolve_distance_engine,
 )
-from repro.kernels.solve import BATCH_MIN_CANDIDATES, NodeBatch, SolveBatch
-from repro.kernels.vec import (
-    KERNEL_BACKENDS,
-    numpy_available,
-    resolve_kernel_backend,
-    validate_kernel_backend,
-)
+from repro.kernels.vec import numpy_available, resolve_kernel_backend
 
 __all__ = [
-    "BATCH_MIN_CANDIDATES",
     "BallBitsetEngine",
     "DEFAULT_MAX_BALLS",
-    "KERNEL_BACKENDS",
-    "NodeBatch",
-    "SolveBatch",
     "numpy_available",
     "resolve_distance_engine",
     "resolve_kernel_backend",
-    "validate_kernel_backend",
 ]

@@ -39,7 +39,6 @@ from typing import Optional, Sequence
 from repro.core.csr import validate_graph_layout
 from repro.index.base import DistanceOracle, GraphLike
 from repro.kernels import vec
-from repro.kernels.vec import resolve_kernel_backend, validate_kernel_backend
 from repro.obs.instruments import NULL_REGISTRY, InstrumentRegistry
 
 __all__ = ["BallBitsetEngine", "DEFAULT_MAX_BALLS", "resolve_distance_engine"]
@@ -71,12 +70,10 @@ class BallBitsetEngine:
         budget-exceeded fallback, exercised directly in tests).
     instruments:
         Registry receiving ``kernels.ball_builds``, ``kernels.ball_hits``,
-        ``kernels.ball_evictions``, ``kernels.mask_filters``,
-        ``kernels.vec_sweeps`` and the batched-solver counters
-        ``kernels.node_batches`` / ``kernels.batched_scores`` /
-        ``kernels.bulk_eliminations``.  Local integer mirrors of the
-        same counts are always kept (see :meth:`counters`) so benches
-        can read them without a live registry.
+        ``kernels.ball_evictions``, ``kernels.mask_filters`` and
+        ``kernels.vec_sweeps``.  Local integer mirrors of the same
+        counts are always kept (see :meth:`counters`) so benches can
+        read them without a live registry.
     graph_layout:
         ``"adjacency"`` (default) builds missed balls through
         ``oracle.within_k``; ``"csr"`` grows them by direct BFS over
@@ -86,15 +83,12 @@ class BallBitsetEngine:
         paths produce the identical bitset; only the oracle's own
         probe/memo counters differ (the csr path never consults it on
         a miss).
-    kernel_backend:
-        ``"auto"`` (default) uses the numpy-vectorized kernels from
-        :mod:`repro.kernels.vec` when numpy is importable and falls
-        back to the pure-python kernels otherwise; ``"numpy"`` forces
-        vectorization (raising
-        :class:`repro.core.errors.KernelBackendError` without numpy)
-        and ``"python"`` forces the scalar kernels.  Backends are
-        bit-identical by construction; each vectorized sweep bumps the
-        ``kernels.vec_sweeps`` counter.
+
+    Balls are built and wide masks decoded by the numpy kernels of
+    :mod:`repro.kernels.vec` when numpy is importable at construction
+    (``backend == "numpy"``) and by their pure-python twins otherwise.
+    Both are bit-identical by construction; each vectorized sweep bumps
+    the ``kernels.vec_sweeps`` counter.
 
     Examples
     --------
@@ -115,17 +109,14 @@ class BallBitsetEngine:
         max_balls: int = DEFAULT_MAX_BALLS,
         instruments: InstrumentRegistry = NULL_REGISTRY,
         graph_layout: str = "adjacency",
-        kernel_backend: str = "auto",
     ) -> None:
         if max_balls < 0:
             raise ValueError(f"max_balls must be >= 0, got {max_balls}")
         self.oracle = oracle
         self.max_balls = max_balls
         self.graph_layout = validate_graph_layout(graph_layout)
-        self.kernel_backend = validate_kernel_backend(kernel_backend)
-        #: The concrete backend ("numpy" | "python") after resolving
-        #: "auto" against the environment.
-        self.backend = resolve_kernel_backend(kernel_backend)
+        #: "numpy" when the vectorized kernels are importable, else "python".
+        self.backend = "numpy" if vec.numpy_available() else "python"
         # Flat CSR arrays for the csr layout, materialised lazily per
         # graph version (see _csr_arrays).  The numpy twins carry their
         # own version stamp because either representation may be
@@ -136,10 +127,6 @@ class BallBitsetEngine:
         self._csr_np_version: Optional[int] = None
         self._csr_np: Optional[tuple[object, object]] = None
         self._balls: OrderedDict[tuple[int, int], int] = OrderedDict()
-        # Derived cache for the batched solver core: the same balls as
-        # byte arrays (numpy uint8), keyed and LRU-bounded like _balls.
-        # Entries are views over immutable bytes, shared read-only.
-        self._ball_bytes: OrderedDict[tuple[int, int], object] = OrderedDict()
         self._version = oracle.graph.version
         self._lock = threading.Lock()
         self.ball_builds = 0
@@ -147,17 +134,11 @@ class BallBitsetEngine:
         self.ball_evictions = 0
         self.mask_filters = 0
         self.vec_sweeps = 0
-        self.node_batches = 0
-        self.batched_scores = 0
-        self.bulk_eliminations = 0
         self._builds_counter = instruments.counter("kernels.ball_builds")
         self._hits_counter = instruments.counter("kernels.ball_hits")
         self._evictions_counter = instruments.counter("kernels.ball_evictions")
         self._filters_counter = instruments.counter("kernels.mask_filters")
         self._vec_counter = instruments.counter("kernels.vec_sweeps")
-        self._node_batches_counter = instruments.counter("kernels.node_batches")
-        self._batched_scores_counter = instruments.counter("kernels.batched_scores")
-        self._bulk_elims_counter = instruments.counter("kernels.bulk_eliminations")
 
     # ------------------------------------------------------------------
     @property
@@ -172,9 +153,6 @@ class BallBitsetEngine:
             "ball_evictions": self.ball_evictions,
             "mask_filters": self.mask_filters,
             "vec_sweeps": self.vec_sweeps,
-            "node_batches": self.node_batches,
-            "batched_scores": self.batched_scores,
-            "bulk_eliminations": self.bulk_eliminations,
         }
 
     def __len__(self) -> int:
@@ -198,9 +176,8 @@ class BallBitsetEngine:
                 if graph.version != self._version:
                     # The graph mutated under us: every resident ball
                     # may describe edges that no longer exist.  Drop
-                    # them all (and the derived byte arrays with them).
+                    # them all.
                     self._balls.clear()
-                    self._ball_bytes.clear()
                     self._version = graph.version
         key = (vertex, k)
         balls = self._balls
@@ -312,61 +289,6 @@ class BallBitsetEngine:
         k-line filter against *vertex* removes."""
         return self.ball(vertex, k) | (1 << vertex)
 
-    def ball_bytes(self, vertex: int, k: int, nbytes: int) -> object:
-        """The ball of ``(vertex, k)`` as a little-endian numpy uint8
-        array of width *nbytes* — the byte view the batched solver core
-        (:mod:`repro.kernels.solve`) gathers candidate bits from.
-
-        Bit ``i`` of byte ``b`` is vertex ``8 b + i``, exactly the
-        ``1 << v`` weight of :meth:`ball`, so per-candidate reads off
-        this array reproduce big-int ball membership bit for bit.  The
-        arrays are derived from :meth:`ball` (sharing its version checks
-        and build/hit counters) and cached in their own ``max_balls``-
-        bounded LRU; only callable on the numpy backend.
-        """
-        key = (vertex, k)
-        if self.oracle.graph.version == self._version:
-            cached = self._ball_bytes.get(key)
-            if cached is not None and len(cached) == nbytes:  # type: ignore[arg-type]
-                if len(self._ball_bytes) * 2 >= self.max_balls:
-                    with self._lock:
-                        if key in self._ball_bytes:
-                            self._ball_bytes.move_to_end(key)
-                return cached
-        bits = self.ball(vertex, k)
-        np = vec.numpy_or_none()
-        assert np is not None  # callers hold backend == "numpy"
-        arr = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        with self._lock:
-            if self.max_balls and self.oracle.graph.version == self._version:
-                self._ball_bytes[key] = arr
-                if len(self._ball_bytes) > self.max_balls:
-                    self._ball_bytes.popitem(last=False)
-        return arr
-
-    def note_batch(
-        self, *, nodes: int = 0, scores: int = 0, eliminations: int = 0
-    ) -> None:
-        """Fold one batched-solver bookkeeping delta into the counters.
-
-        One lock hop covers every counter the delta touches.  Bulk
-        eliminations also count as ``mask_filters`` — one vectorized
-        elimination replaces exactly one :meth:`filter_mask` call, so
-        the k-line operation ledger stays engine-independent.
-        """
-        with self._lock:
-            if nodes:
-                self.node_batches += nodes
-                self._node_batches_counter.inc(nodes)
-            if scores:
-                self.batched_scores += scores
-                self._batched_scores_counter.inc(scores)
-            if eliminations:
-                self.bulk_eliminations += eliminations
-                self._bulk_elims_counter.inc(eliminations)
-                self.mask_filters += eliminations
-                self._filters_counter.inc(eliminations)
-
     # ------------------------------------------------------------------
     # Dynamic maintenance (epoch mode)
     # ------------------------------------------------------------------
@@ -391,11 +313,6 @@ class BallBitsetEngine:
             ]
             for key in stale:
                 del self._balls[key]
-            # The derived byte arrays are dropped wholesale: an entry
-            # whose big-int ball was independently LRU-evicted cannot be
-            # re-validated against the edit, and re-packing a resident
-            # ball is cheap next to rebuilding one.
-            self._ball_bytes.clear()
             self.ball_evictions += len(stale)
             self._evictions_counter.inc(len(stale))
             self._version = graph.version
@@ -416,9 +333,6 @@ class BallBitsetEngine:
         graph = self.oracle.graph
         with self._lock:
             self._version = graph.version
-            # Byte arrays are width-stamped by their length; a vertex
-            # append would strand narrower stale entries, so drop them.
-            self._ball_bytes.clear()
             self._csr_version = None
             self._csr_indptr = None
             self._csr_indices = None
@@ -560,7 +474,6 @@ class BallBitsetEngine:
         state = dict(self.__dict__)
         state["_lock"] = None
         state["_balls"] = OrderedDict()
-        state["_ball_bytes"] = OrderedDict()
         # Flat CSR arrays re-materialise lazily in the target process.
         state["_csr_version"] = None
         state["_csr_indptr"] = None
@@ -586,22 +499,19 @@ def resolve_distance_engine(
     oracle: DistanceOracle,
     kernel: Optional[BallBitsetEngine],
     graph_layout: str = "adjacency",
-    kernel_backend: str = "auto",
 ) -> Optional[BallBitsetEngine]:
     """Shared constructor-time validation for every solver layer.
 
     Returns the kernel to use (``None`` for the oracle path).  Passing a
     prebuilt *kernel* implies the bitset engine; building one lazily
     happens only when ``distance_engine="bitset"`` and none was shared.
-    *graph_layout* and *kernel_backend* seed a lazily-built kernel's
-    ball-construction path; a prebuilt kernel keeps whatever layout and
-    backend it was created with.
+    *graph_layout* seeds a lazily-built kernel's ball-construction path;
+    a prebuilt kernel keeps whatever layout it was created with.
     """
     if distance_engine not in ("oracle", "bitset"):
         raise ValueError(
             f"distance_engine must be 'oracle' or 'bitset', got {distance_engine!r}"
         )
-    validate_kernel_backend(kernel_backend)
     if kernel is not None:
         if kernel.oracle is not oracle:
             raise ValueError(
@@ -609,7 +519,5 @@ def resolve_distance_engine(
             )
         return kernel
     if distance_engine == "bitset":
-        return BallBitsetEngine(
-            oracle, graph_layout=graph_layout, kernel_backend=kernel_backend
-        )
+        return BallBitsetEngine(oracle, graph_layout=graph_layout)
     return None

@@ -15,23 +15,14 @@ twins of those hot paths:
 * :func:`pack_vertices` / :func:`decode_mask` — bulk encode/decode
   between vertex collections and big-int bitsets;
 * :func:`popcount_bytes` / :func:`bulk_popcount` — bulk popcount over
-  packed keyword masks, preferring ``np.bitwise_count`` (numpy >= 2.0),
-  then ``np.unpackbits``, then a chunked ``int.from_bytes(...).bit_count()``
-  pure-python fallback;
-* :func:`pack_masks` / :func:`popcount_rows` — the matrix halves of the
-  batched solver core (:mod:`repro.kernels.solve`): lay keyword-mask
-  ints out as one ``(n, mask_bytes)`` little-endian uint8 matrix and
-  count its set bits row-wise.
+  packed buffers and keyword-mask ints.
 
-numpy stays an *optional* dependency.  Backend selection is explicit::
-
-    kernel_backend="auto"    numpy when importable, else pure python
-    kernel_backend="numpy"   force numpy; raise KernelBackendError if absent
-    kernel_backend="python"  force the pure-python kernels
-
+numpy stays an *optional* dependency with no setting: the callers in
+:mod:`repro.kernels.engine` and :mod:`repro.index.nl` use these kernels
+whenever numpy is importable and their pure-python twins otherwise.
 The resolved numpy module is cached in the module-global ``_np`` so
 tests can simulate a numpy-absent environment by monkeypatching it to
-``None`` — no uninstall needed.  Both backends are bit-identical by
+``None`` — no uninstall needed.  Both paths are bit-identical by
 construction: the vectorized BFS visits the same level sets (sorted
 within a level, which every consumer in this package is insensitive
 to) and the packed bitsets use the same little-endian weight
@@ -40,14 +31,9 @@ to) and the packed bitsets use the same little-endian weight
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Iterable, Optional, Sequence
 
-from repro.core.errors import KernelBackendError
-
 __all__ = [
-    "KERNEL_BACKENDS",
-    "validate_kernel_backend",
     "resolve_kernel_backend",
     "numpy_available",
     "numpy_or_none",
@@ -58,13 +44,8 @@ __all__ = [
     "decode_mask",
     "popcount_bytes",
     "bulk_popcount",
-    "pack_masks",
-    "popcount_rows",
     "UNREACHABLE",
 ]
-
-#: Valid ``kernel_backend`` values, mirroring ``GRAPH_LAYOUTS``.
-KERNEL_BACKENDS = ("auto", "numpy", "python")
 
 #: Sentinel distance for unreachable vertices (matches ``_traversal``).
 UNREACHABLE = -1
@@ -97,46 +78,24 @@ def numpy_available() -> bool:
     return numpy_or_none() is not None
 
 
-def validate_kernel_backend(kernel_backend: str) -> str:
-    """Validate a ``kernel_backend`` string, returning it unchanged."""
-    if kernel_backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-            f"got {kernel_backend!r}"
-        )
-    return kernel_backend
+def resolve_kernel_backend(choice: str = "auto") -> str:
+    """The backend the kernels run on: ``"numpy"`` when importable,
+    else ``"python"``.
 
-
-def resolve_kernel_backend(kernel_backend: str) -> str:
-    """Resolve ``"auto"|"numpy"|"python"`` to a concrete backend.
-
-    ``"auto"`` picks numpy when importable and falls back to the pure
-    python kernels otherwise; forcing ``"numpy"`` without numpy raises
-    :class:`repro.core.errors.KernelBackendError` so a misconfigured
-    deployment fails loudly instead of silently running 10x slower.
+    ``"auto"`` is the only accepted *choice*; the argument remains for
+    callers that report the backend (``perfbench`` records it per run).
     """
-    validate_kernel_backend(kernel_backend)
-    if kernel_backend == "python":
-        return "python"
-    if numpy_available():
-        return "numpy"
-    if kernel_backend == "numpy":
-        raise KernelBackendError(
-            "kernel_backend='numpy' was requested but numpy is not "
-            "importable in this environment; install numpy (the [test] "
-            "extra ships it) or pass kernel_backend='auto' to fall back "
-            "to the pure-python kernels"
-        )
-    return "python"
+    if choice != "auto":
+        raise ValueError(f"the only backend choice is 'auto', got {choice!r}")
+    return "numpy" if numpy_available() else "python"
 
 
 def _require_numpy() -> Any:
     np = numpy_or_none()
     if np is None:
-        raise KernelBackendError(
+        raise ImportError(
             "the vectorized kernels need numpy, which is not importable; "
-            "resolve the backend with resolve_kernel_backend() before "
-            "calling into repro.kernels.vec"
+            "check numpy_available() before calling into repro.kernels.vec"
         )
     return np
 
@@ -330,8 +289,7 @@ def popcount_bytes(data: bytes | bytearray | memoryview) -> int:
 
     Prefers ``np.bitwise_count`` (numpy >= 2.0), then ``np.unpackbits``,
     then a chunked ``int.from_bytes(...).bit_count()`` pure-python
-    fallback — the same ladder :func:`bulk_popcount` uses, so numpy
-    presence changes speed, never values.  The buffer is consumed
+    fallback, so numpy presence changes speed, never values.  The buffer is consumed
     zero-copy (``np.frombuffer`` on the caller's bytes / bytearray /
     contiguous memoryview); the empty buffer counts 0.
     """
@@ -354,82 +312,19 @@ def popcount_bytes(data: bytes | bytearray | memoryview) -> int:
 def bulk_popcount(masks: Sequence[int], mask_bytes: Optional[int] = None) -> list[int]:
     """Per-mask popcounts of packed keyword-mask ints.
 
-    With numpy the masks are laid out as one contiguous
-    ``(len(masks), mask_bytes)`` uint8 matrix (written straight into a
-    preallocated buffer — no per-mask ``bytes`` temporaries or join
-    copy) and counted row-wise; without numpy each mask falls back to
-    ``int.bit_count``.  *mask_bytes* defaults to the widest mask's byte
-    length; an explicit *mask_bytes* too narrow for some mask (or a
-    negative mask) raises :class:`ValueError`.  An empty sequence
-    returns ``[]``.
+    *mask_bytes*, when given, is the width every mask must fit: a mask
+    too wide for it (or a negative mask) raises :class:`ValueError`, as
+    does a negative mask without it.  An empty sequence returns ``[]``.
+    ``int.bit_count`` already runs in C per mask, so there is no numpy
+    path to choose.
     """
     if not masks:
         return []
     if mask_bytes is not None:
-        # Validate up front so both backends reject the same inputs.
         if mask_bytes < 1:
             raise ValueError(f"mask_bytes must be >= 1, got {mask_bytes}")
         if min(masks) < 0 or max(masks).bit_length() > mask_bytes * 8:
             raise ValueError(f"a mask does not fit in mask_bytes={mask_bytes}")
     elif min(masks) < 0:
         raise ValueError("masks must be non-negative ints")
-    np = numpy_or_none()
-    if np is None:
-        return [mask.bit_count() for mask in masks]
-    if mask_bytes is None:
-        mask_bytes = max(1, (max(masks).bit_length() + 7) >> 3)
-    return popcount_rows(pack_masks(masks, mask_bytes)).tolist()
-
-
-def pack_masks(masks: Sequence[int], mask_bytes: int) -> Any:
-    """Keyword-mask ints as one ``(len(masks), mask_bytes)`` uint8 matrix.
-
-    Row *i* holds ``masks[i]`` little-endian, so bit ``j`` of byte ``b``
-    in row *i* is bit ``8 b + j`` of the int — byte-compatible with the
-    scalar path's ``int`` masks and with :func:`popcount_bytes`.  Masks
-    of at most 8 bytes take a fast path (one int-to-uint64 conversion
-    viewed as bytes on little-endian hosts); wider masks are written
-    ``to_bytes`` into a single preallocated buffer.  A mask that does
-    not fit *mask_bytes* (or is negative) raises :class:`ValueError`.
-    """
-    np = _require_numpy()
-    if mask_bytes < 1:
-        raise ValueError(f"mask_bytes must be >= 1, got {mask_bytes}")
-    n = len(masks)
-    if mask_bytes <= 8 and sys.byteorder == "little":
-        try:
-            packed = np.asarray(masks, dtype=np.uint64)
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(
-                f"a mask does not fit in mask_bytes={mask_bytes}"
-            ) from exc
-        wide = packed.view(np.uint8).reshape(n, 8)
-        if mask_bytes < 8 and bool((wide[:, mask_bytes:] != 0).any()):
-            raise ValueError(f"a mask does not fit in mask_bytes={mask_bytes}")
-        return wide[:, :mask_bytes]
-    buf = bytearray(n * mask_bytes)
-    offset = 0
-    try:
-        for mask in masks:
-            buf[offset : offset + mask_bytes] = mask.to_bytes(mask_bytes, "little")
-            offset += mask_bytes
-    except OverflowError as exc:
-        raise ValueError(
-            f"a mask does not fit in mask_bytes={mask_bytes}"
-        ) from exc
-    return np.frombuffer(buf, dtype=np.uint8).reshape(n, mask_bytes)
-
-
-def popcount_rows(matrix: Any) -> Any:
-    """Row-wise popcount of a ``(n, mask_bytes)`` uint8 matrix (int64).
-
-    Same backend ladder as :func:`popcount_bytes` — ``np.bitwise_count``
-    when available, else ``np.unpackbits`` — so the counts match the
-    scalar ``int.bit_count`` values exactly.
-    """
-    np = _require_numpy()
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
-    return np.unpackbits(np.ascontiguousarray(matrix), axis=1).sum(
-        axis=1, dtype=np.int64
-    )
+    return [mask.bit_count() for mask in masks]

@@ -172,22 +172,17 @@ def _process_worker_init(
     oracle: Optional[DistanceOracle],
     distance_engine: str = "oracle",
     graph_layout: str = "adjacency",
-    kernel_backend: str = "auto",
 ) -> None:
     global _WORKER_STATE
     if oracle is None:
-        oracle = spec.build_oracle(
-            graph, graph_layout=graph_layout, kernel_backend=kernel_backend
-        )
+        oracle = spec.build_oracle(graph, graph_layout=graph_layout)
     kernel = None
     if distance_engine == "bitset":
         # One ball cache per worker process, reused across every query
         # the worker serves (the cross-query reuse the kernel exists for).
         from repro.kernels import BallBitsetEngine
 
-        kernel = BallBitsetEngine(
-            oracle, graph_layout=graph_layout, kernel_backend=kernel_backend
-        )
+        kernel = BallBitsetEngine(oracle, graph_layout=graph_layout)
     _WORKER_STATE = (graph, spec, oracle, kernel, graph_layout)
 
 
@@ -255,17 +250,11 @@ class QueryService:
         ``"adjacency"`` (default) or ``"csr"`` — the traversal layout
         for oracle builds and ball construction (see
         :class:`repro.core.csr.CsrSnapshot`).  Served answers are
-        bit-identical across layouts.
-    kernel_backend:
-        Vectorization backend for every kernel this service builds
-        (the shared one and process workers'):
-        ``"auto"`` (default) uses the numpy kernels from
-        :mod:`repro.kernels.vec` when importable, ``"numpy"`` forces
-        them, ``"python"`` forces the scalar path.  On the numpy
-        backend the solvers also run the batched node-expansion core
-        (:mod:`repro.kernels.solve`).  Served answers are
-        bit-identical across backends; :meth:`instrument_report` tags
-        the kernel section with the resolved backend.
+        bit-identical across layouts.  Balls and csr BFS levels are
+        built by the numpy kernels of :mod:`repro.kernels.vec` when
+        numpy is importable and by their scalar twins otherwise;
+        :meth:`instrument_report` tags the kernel section with the
+        backend in use.
     instruments:
         An :class:`repro.obs.instruments.InstrumentRegistry` collecting
         per-phase latency histograms (``service.cache_lookup_ms``,
@@ -301,7 +290,6 @@ class QueryService:
         cache_capacity: int = 1024,
         distance_engine: str = "oracle",
         graph_layout: str = "adjacency",
-        kernel_backend: str = "auto",
         mutations: bool = False,
         epoch_rotate_after: int = DEFAULT_ROTATE_AFTER,
         epoch_max_delta: int = DEFAULT_MAX_DELTA,
@@ -346,9 +334,6 @@ class QueryService:
         self.cache = ResultCache(cache_capacity)
         self.distance_engine = distance_engine
         self.graph_layout = validate_graph_layout(graph_layout)
-        from repro.kernels.vec import validate_kernel_backend
-
-        self.kernel_backend = validate_kernel_backend(kernel_backend)
         self._kernel = None
         # Lazy-init guard: concurrent run_batch calls race to build the
         # worker pool; without this lock the losers leaked whole pools.
@@ -636,9 +621,7 @@ class QueryService:
         with self._oracle_lock:
             if self._oracle is None or self._oracle.is_stale():
                 self._oracle = self.spec.build_oracle(
-                    self.graph,
-                    graph_layout=self.graph_layout,
-                    kernel_backend=self.kernel_backend,
+                    self.graph, graph_layout=self.graph_layout
                 )
             return self._oracle
 
@@ -660,7 +643,6 @@ class QueryService:
                     oracle,
                     instruments=self.instruments,
                     graph_layout=self.graph_layout,
-                    kernel_backend=self.kernel_backend,
                 )
             return self._kernel
 
@@ -785,7 +767,6 @@ class QueryService:
                         self._ensure_oracle(),
                         self.distance_engine,
                         self.graph_layout,
-                        self.kernel_backend,
                     ),
                 )
                 self._pool_graph_version = self.graph.version

@@ -73,16 +73,11 @@ class AlgorithmSpec:
         self,
         graph: AttributedGraph,
         graph_layout: str = "adjacency",
-        kernel_backend: str = "auto",
     ) -> DistanceOracle:
         if self.oracle_kind == "bfs":
             return BFSOracle(graph, graph_layout=graph_layout)
         if self.oracle_kind == "nl":
-            # NL is the one oracle whose csr build itself rides the
-            # vectorized kernels, so the backend choice reaches it.
-            return NLIndex(
-                graph, graph_layout=graph_layout, kernel_backend=kernel_backend
-            )
+            return NLIndex(graph, graph_layout=graph_layout)
         if self.oracle_kind == "nlrnl":
             # NLRNL's incremental-maintenance path rebuilds per-vertex
             # maps against the live adjacency, so its build keeps the

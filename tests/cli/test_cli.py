@@ -1,5 +1,7 @@
 """Unit tests for the ``ktg`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli.main import build_parser, main
@@ -282,21 +284,44 @@ class TestSolveAlias:
         with pytest.raises(SystemExit):
             build_parser().parse_args([command, "brightkite", "--jobs", "2"])
 
+    def test_no_command_takes_a_backend_flag(self):
+        parser = build_parser()
+        commands = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for name, command in commands.choices.items():
+            flags = [
+                flag
+                for action in command._actions
+                for flag in action.option_strings
+                if "backend" in flag
+            ]
+            assert not flags, name
+
+
+_NON_POSITIVE_CASES = [
+    (command, flag, value)
+    for flag, value in [
+        ("--workers", "0"),
+        ("--workers", "-2"),
+        ("--node-budget", "0"),
+        ("--time-budget", "0"),
+        ("--time-budget", "-1"),
+        ("--time-budget", "nan"),
+    ]
+    for command in ("batch", "serve")
+] + [("batch", "--passes", "0"), ("batch", "--passes", "-1")]
+
 
 class TestPositiveFlags:
-    """Non-positive workers and budgets are usage errors at parse time."""
+    """Non-positive workers, budgets and passes are usage errors at parse time."""
 
-    @pytest.mark.parametrize("command", ["batch", "serve"])
     @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--workers", "0"),
-            ("--workers", "-2"),
-            ("--node-budget", "0"),
-            ("--time-budget", "0"),
-            ("--time-budget", "-1"),
-            ("--time-budget", "nan"),
-        ],
+        "command, flag, value",
+        _NON_POSITIVE_CASES,
+        ids=[f"{flag}-{value}-{command}" for command, flag, value in _NON_POSITIVE_CASES],
     )
     def test_non_positive_rejected(self, capsys, command, flag, value):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,9 +1,13 @@
 """Unit tests for query validation and helpers."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import QueryValidationError
 from repro.core.query import DKTGQuery, KTGQuery
+
+from tests.conftest import make_random_attributed_graph
 
 
 class TestKTGQueryValidation:
@@ -107,3 +111,35 @@ class TestDKTGQuery:
     def test_inherits_ktg_validation(self):
         with pytest.raises(QueryValidationError):
             DKTGQuery(keywords=(), gamma=0.5)
+
+
+class TestCachedContext:
+    """``KTGQuery.cached_context`` memoises per (graph, version, keywords)."""
+
+    KEYWORDS = ("kw000", "kw001")
+
+    @pytest.fixture()
+    def graph(self):
+        return make_random_attributed_graph(num_vertices=40, seed=11)
+
+    def test_memo_hit_same_graph_version(self, graph):
+        query = KTGQuery(keywords=self.KEYWORDS)
+        first = query.cached_context(graph)
+        assert query.cached_context(graph) is first
+
+    def test_memo_miss_on_version_bump(self, graph):
+        query = KTGQuery(keywords=self.KEYWORDS)
+        first = query.cached_context(graph)
+        other = next(
+            v for v in range(1, graph.num_vertices) if v not in graph.neighbors(0)
+        )
+        graph.add_edge(0, other)
+        assert query.cached_context(graph) is not first
+
+    def test_memo_not_pickled(self, graph):
+        query = KTGQuery(keywords=self.KEYWORDS)
+        keep = query.cached_context(graph)
+        clone = pickle.loads(pickle.dumps(query))
+        assert clone == query
+        assert "_context_memo" not in clone.__dict__
+        assert keep is not None

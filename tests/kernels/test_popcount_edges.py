@@ -1,9 +1,8 @@
-"""Edge cases of the popcount / mask-packing kernels.
+"""Edge cases of the popcount kernels.
 
-The batched solver core leans on these primitives for every score and
-bound, so the edges — empty buffers, lengths that are not a multiple of
-8, buffer types, too-narrow widths — are pinned here for BOTH backends:
-numpy presence must change speed, never values or error behaviour.
+The edges — empty buffers, lengths that are not a multiple of 8, buffer
+types, too-narrow widths — are pinned here for BOTH backends: numpy
+presence must change speed, never values or error behaviour.
 """
 
 from __future__ import annotations
@@ -11,10 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.kernels import vec
-
-needs_numpy = pytest.mark.skipif(
-    not vec.numpy_available(), reason="numpy not importable"
-)
 
 BACKENDS = ["numpy", "python"] if vec.numpy_available() else ["python"]
 
@@ -93,48 +88,3 @@ class TestBulkPopcount:
             vec.bulk_popcount([3, -1])
         with pytest.raises(ValueError):
             vec.bulk_popcount([3, -1], mask_bytes=4)
-
-
-@needs_numpy
-class TestPackMasks:
-    def test_narrow_fast_path_layout(self):
-        np = vec.numpy_or_none()
-        matrix = vec.pack_masks([0b1, 0b100000000, 0], mask_bytes=2)
-        assert matrix.shape == (3, 2)
-        assert matrix.dtype == np.uint8
-        assert matrix[0].tolist() == [1, 0]
-        assert matrix[1].tolist() == [0, 1]  # bit 8 -> byte 1, bit 0
-        assert matrix[2].tolist() == [0, 0]
-
-    def test_wide_path_roundtrip(self):
-        masks = [(1 << 75) | 5, 0, (1 << 95) - 1]
-        matrix = vec.pack_masks(masks, mask_bytes=12)
-        assert matrix.shape == (3, 12)
-        for row, mask in zip(matrix, masks):
-            assert int.from_bytes(row.tobytes(), "little") == mask
-
-    def test_rows_popcount_like_ints(self):
-        masks = [0, 7, 1 << 40, (1 << 48) - 1]
-        counts = vec.popcount_rows(vec.pack_masks(masks, mask_bytes=6))
-        assert counts.tolist() == [m.bit_count() for m in masks]
-
-    def test_overflow_rejected_both_paths(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            vec.pack_masks([1 << 16], mask_bytes=2)  # narrow path
-        with pytest.raises(ValueError, match="does not fit"):
-            vec.pack_masks([1 << 96], mask_bytes=12)  # wide path
-        with pytest.raises(ValueError, match="does not fit"):
-            vec.pack_masks([1 << 80], mask_bytes=4)  # > uint64 on narrow path
-
-    def test_negative_mask_rejected(self):
-        with pytest.raises(ValueError):
-            vec.pack_masks([-1], mask_bytes=2)
-        with pytest.raises(ValueError):
-            vec.pack_masks([-1], mask_bytes=12)
-
-    def test_nonpositive_width_rejected(self):
-        with pytest.raises(ValueError, match="mask_bytes"):
-            vec.pack_masks([1], mask_bytes=0)
-
-    def test_empty_masks(self):
-        assert vec.pack_masks([], mask_bytes=3).shape == (0, 3)

@@ -1,16 +1,15 @@
 """Tests for the numpy-vectorized kernel twins (``repro.kernels.vec``).
 
 Every vectorized kernel has a scalar twin; these tests pin the two
-bit-identical, exercise backend resolution (including a simulated
-numpy-absent environment via the module-global ``_np`` cache), and
-check the ``kernels.vec_sweeps`` accounting on the engine.
+bit-identical, exercise the numpy-absent fallback (simulated via the
+module-global ``_np`` cache), and check the ``kernels.vec_sweeps``
+accounting on the engine.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import KernelBackendError
 from repro.core.graph import AttributedGraph
 from repro.index._traversal import (
     UNREACHABLE,
@@ -45,35 +44,24 @@ def csr(graph):
 # Backend selection
 # ----------------------------------------------------------------------
 class TestBackendSelection:
-    def test_validate_accepts_known(self):
-        for backend in vec.KERNEL_BACKENDS:
-            assert vec.validate_kernel_backend(backend) == backend
-
-    def test_validate_rejects_unknown(self):
-        with pytest.raises(ValueError, match="kernel_backend"):
-            vec.validate_kernel_backend("fortran")
-
-    def test_python_always_resolves(self):
-        assert vec.resolve_kernel_backend("python") == "python"
-
     @needs_numpy
-    def test_auto_and_forced_prefer_numpy(self):
+    def test_auto_prefers_numpy(self):
         assert vec.resolve_kernel_backend("auto") == "numpy"
-        assert vec.resolve_kernel_backend("numpy") == "numpy"
+        assert vec.resolve_kernel_backend() == "numpy"
 
     def test_auto_falls_back_without_numpy(self, monkeypatch):
         monkeypatch.setattr(vec, "_np", None)
         assert not vec.numpy_available()
         assert vec.resolve_kernel_backend("auto") == "python"
 
-    def test_forced_numpy_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setattr(vec, "_np", None)
-        with pytest.raises(KernelBackendError, match="kernel_backend='numpy'"):
-            vec.resolve_kernel_backend("numpy")
+    def test_only_auto_is_accepted(self):
+        for value in ("numpy", "python"):
+            with pytest.raises(ValueError, match="'auto'"):
+                vec.resolve_kernel_backend(value)
 
     def test_vec_kernels_refuse_to_run_without_numpy(self, monkeypatch):
         monkeypatch.setattr(vec, "_np", None)
-        with pytest.raises(KernelBackendError, match="numpy"):
+        with pytest.raises(ImportError, match="numpy"):
             vec.bfs_levels_csr([0, 0], [], 0)
 
 
@@ -132,10 +120,11 @@ class TestTraversalTwins:
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestBitsetHelpers:
-    def test_ball_bits_matches_scalar_engine(self, graph, csr):
-        engine = BallBitsetEngine(
-            BFSOracle(graph), graph_layout="csr", kernel_backend="python"
-        )
+    def test_ball_bits_matches_scalar_engine(self, graph, csr, monkeypatch):
+        monkeypatch.setattr(vec, "_np", None)
+        engine = BallBitsetEngine(BFSOracle(graph), graph_layout="csr")
+        assert engine.backend == "python"
+        monkeypatch.undo()
         indptr, indices = csr
         for vertex in range(0, graph.num_vertices, 3):
             for k in (1, 2, 3):
@@ -195,25 +184,32 @@ class TestPopcount:
 # ----------------------------------------------------------------------
 # Engine backend integration
 # ----------------------------------------------------------------------
+def _scalar_engine(graph, monkeypatch, **options):
+    """An engine built while numpy is hidden: it keeps the python kernels."""
+    with monkeypatch.context() as patch:
+        patch.setattr(vec, "_np", None)
+        engine = BallBitsetEngine(BFSOracle(graph), **options)
+    assert engine.backend == "python"
+    return engine
+
+
 class TestEngineBackends:
     def test_backend_attributes(self, graph):
-        engine = BallBitsetEngine(BFSOracle(graph), kernel_backend="python")
-        assert engine.kernel_backend == "python"
-        assert engine.backend == "python"
+        engine = BallBitsetEngine(BFSOracle(graph))
+        assert engine.backend == vec.resolve_kernel_backend()
 
     def test_bad_backend_rejected(self, graph):
-        with pytest.raises(ValueError, match="kernel_backend"):
+        with pytest.raises(TypeError, match="kernel_backend"):
             BallBitsetEngine(BFSOracle(graph), kernel_backend="fortran")
 
     @needs_numpy
-    def test_balls_identical_across_backends(self, graph):
+    def test_balls_identical_across_backends(self, graph, monkeypatch):
         for layout in ("adjacency", "csr"):
             engines = [
-                BallBitsetEngine(
-                    BFSOracle(graph), graph_layout=layout, kernel_backend=backend
-                )
-                for backend in ("python", "numpy")
+                _scalar_engine(graph, monkeypatch, graph_layout=layout),
+                BallBitsetEngine(BFSOracle(graph), graph_layout=layout),
             ]
+            assert engines[1].backend == "numpy"
             for vertex in range(0, graph.num_vertices, 5):
                 for k in (1, 2, 3):
                     balls = {engine.ball(vertex, k) for engine in engines}
@@ -223,10 +219,7 @@ class TestEngineBackends:
     def test_vec_sweeps_counted(self, graph):
         registry = InstrumentRegistry()
         engine = BallBitsetEngine(
-            BFSOracle(graph),
-            graph_layout="csr",
-            kernel_backend="numpy",
-            instruments=registry,
+            BFSOracle(graph), graph_layout="csr", instruments=registry
         )
         engine.ball(0, 2)
         engine.ball(0, 2)  # cache hit: no extra sweep
@@ -234,10 +227,8 @@ class TestEngineBackends:
         assert engine.counters()["vec_sweeps"] == 1
         assert registry.report()["counters"]["kernels.vec_sweeps"] == 1
 
-    def test_python_backend_never_sweeps(self, graph):
-        engine = BallBitsetEngine(
-            BFSOracle(graph), graph_layout="csr", kernel_backend="python"
-        )
+    def test_python_backend_never_sweeps(self, graph, monkeypatch):
+        engine = _scalar_engine(graph, monkeypatch, graph_layout="csr")
         candidates = list(range(graph.num_vertices))
         engine.filter_list(candidates, engine.encode(candidates), 0, 2)
         assert engine.vec_sweeps == 0
@@ -248,8 +239,8 @@ class TestEngineBackends:
         # mask width, then check the filter output is bit-identical to
         # the scalar backend's.
         monkeypatch.setattr(engine_mod, "VEC_DECODE_MIN_BITS", 1)
-        fast = BallBitsetEngine(BFSOracle(graph), kernel_backend="numpy")
-        base = BallBitsetEngine(BFSOracle(graph), kernel_backend="python")
+        fast = BallBitsetEngine(BFSOracle(graph))
+        base = _scalar_engine(graph, monkeypatch)
         candidates = list(range(graph.num_vertices))
         mask = fast.encode(candidates)
         assert fast.filter_list(candidates, mask, 0, 2) == base.filter_list(
@@ -258,19 +249,12 @@ class TestEngineBackends:
         # One sweep for the ball pack, one for the decode.
         assert fast.vec_sweeps >= 2
 
-    def test_forced_numpy_engine_without_numpy_raises(self, graph, monkeypatch):
-        monkeypatch.setattr(vec, "_np", None)
-        with pytest.raises(KernelBackendError, match="kernel_backend='numpy'"):
-            BallBitsetEngine(BFSOracle(graph), kernel_backend="numpy")
-
     def test_auto_engine_falls_back_without_numpy(self, graph, monkeypatch):
+        reference = BallBitsetEngine(BFSOracle(graph)).ball(0, 2)
         monkeypatch.setattr(vec, "_np", None)
-        engine = BallBitsetEngine(
-            BFSOracle(graph), graph_layout="csr", kernel_backend="auto"
-        )
+        engine = BallBitsetEngine(BFSOracle(graph), graph_layout="csr")
         assert engine.backend == "python"
-        reference = BallBitsetEngine(BFSOracle(graph), kernel_backend="python")
-        assert engine.ball(0, 2) == reference.ball(0, 2)
+        assert engine.ball(0, 2) == reference
         assert engine.vec_sweeps == 0
 
 
@@ -278,9 +262,10 @@ class TestEngineBackends:
 # NL index backend parity
 # ----------------------------------------------------------------------
 @needs_numpy
-def test_nl_csr_build_identical_across_backends(graph):
-    base = NLIndex(graph, graph_layout="csr", kernel_backend="python")
-    fast = NLIndex(graph, graph_layout="csr", kernel_backend="numpy")
+def test_nl_csr_build_identical_across_backends(graph, monkeypatch):
+    fast = NLIndex(graph, graph_layout="csr")
+    monkeypatch.setattr(vec, "_np", None)
+    base = NLIndex(graph, graph_layout="csr")
     assert fast.depth == base.depth
     assert fast.stats.entries == base.stats.entries
     for vertex in range(graph.num_vertices):
@@ -288,21 +273,43 @@ def test_nl_csr_build_identical_across_backends(graph):
 
 
 # ----------------------------------------------------------------------
-# Validation at the solver / service layers
+# No layer takes a backend option: numpy is used whenever it imports
 # ----------------------------------------------------------------------
 class TestLayerValidation:
     def test_solver_rejects_bad_backend(self, graph):
         from repro.core.branch_and_bound import BranchAndBoundSolver
 
-        with pytest.raises(ValueError, match="kernel_backend"):
+        with pytest.raises(TypeError, match="kernel_backend"):
             BranchAndBoundSolver(graph, kernel_backend="fortran")
 
     def test_service_rejects_bad_backend(self, graph):
         from repro.service import QueryService
 
-        with pytest.raises(ValueError, match="kernel_backend"):
+        with pytest.raises(TypeError, match="kernel_backend"):
             QueryService(graph, kernel_backend="fortran")
 
     def test_nl_rejects_bad_backend(self, graph):
-        with pytest.raises(ValueError, match="kernel_backend"):
+        with pytest.raises(TypeError, match="kernel_backend"):
             NLIndex(graph, graph_layout="csr", kernel_backend="fortran")
+
+
+def test_no_layer_takes_a_backend_option():
+    import inspect
+
+    from repro.core.branch_and_bound import BranchAndBoundSolver
+    from repro.core.bruteforce import BruteForceSolver
+    from repro.kernels.engine import resolve_distance_engine
+    from repro.service import QueryService
+    from repro.workloads.runner import AlgorithmSpec
+
+    for layer in (
+        BallBitsetEngine,
+        BranchAndBoundSolver,
+        BruteForceSolver,
+        NLIndex,
+        QueryService,
+        AlgorithmSpec.build_oracle,
+        resolve_distance_engine,
+    ):
+        names = inspect.signature(layer).parameters
+        assert not [name for name in names if "backend" in name], layer

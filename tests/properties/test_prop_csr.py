@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.branch_and_bound import BranchAndBoundSolver
@@ -23,14 +24,9 @@ from repro.index._traversal import bfs_levels, bfs_levels_csr
 from repro.index.bfs import BFSOracle
 from repro.index.nl import NLIndex
 from repro.index.pll import PLLIndex
-from repro.kernels.vec import numpy_available
+from repro.kernels import vec
 
 KEYWORD_POOL = ["a", "b", "c", "d", "e", "f"]
-
-# With numpy importable the interesting comparison is scalar vs forced
-# vectorization; without it, "auto" must degrade to the same scalar
-# kernels (the numpy-absent CI job runs exactly this branch).
-KERNEL_BACKENDS = ["python", "numpy"] if numpy_available() else ["python", "auto"]
 
 STRATEGIES = [
     ("qkc", lambda g: QKCOrdering()),
@@ -80,16 +76,13 @@ def comparable_stats(stats):
     return dataclasses.replace(stats, elapsed_seconds=0.0)
 
 
-def solve(
-    graph, query, strategy_factory, layout, distance_engine, kernel_backend="auto"
-):
+def solve(graph, query, strategy_factory, layout, distance_engine):
     solver = BranchAndBoundSolver(
         graph,
         oracle=BFSOracle(graph, graph_layout=layout),
         strategy=strategy_factory(graph),
         distance_engine=distance_engine,
         graph_layout=layout,
-        kernel_backend=kernel_backend,
     )
     return solver.solve(query)
 
@@ -120,12 +113,15 @@ def test_csr_layout_bit_identical(graph, query, strategy_index, distance_engine)
     layout=st.sampled_from(["adjacency", "csr"]),
 )
 def test_kernel_backend_bit_identical(graph, query, strategy_index, layout):
-    """The vectorized kernels return the same ranked groups and the
-    same ``SearchStats`` as the scalar ones, across strategy x layout
-    (and the auto fallback when numpy is absent)."""
+    """The numpy kernels return the same ranked groups and the same
+    ``SearchStats`` as the scalar ones (numpy hidden through the
+    ``vec._np`` seam), across strategy x layout.  On the numpy-absent
+    CI lane both runs are scalar."""
     _, factory = STRATEGIES[strategy_index]
-    base = solve(graph, query, factory, layout, "bitset", KERNEL_BACKENDS[0])
-    fast = solve(graph, query, factory, layout, "bitset", KERNEL_BACKENDS[1])
+    fast = solve(graph, query, factory, layout, "bitset")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec, "_np", None)
+        base = solve(graph, query, factory, layout, "bitset")
     assert ranked_groups(fast) == ranked_groups(base)
     assert comparable_stats(fast.stats) == comparable_stats(base.stats)
 

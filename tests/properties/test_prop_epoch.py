@@ -25,12 +25,9 @@ from repro.core.csr import CsrSnapshot
 from repro.core.epoch import EpochManager
 from repro.core.graph import AttributedGraph
 from repro.core.query import KTGQuery
-from repro.kernels.vec import numpy_available
 from repro.service.service import QueryService
 
 KEYWORD_POOL = ["a", "b", "c", "d", "e", "f"]
-
-KERNEL_BACKENDS = ["python", "numpy"] if numpy_available() else ["python", "auto"]
 
 ALGORITHMS = ["KTG-QKC-NLRNL", "KTG-VKC-NLRNL", "KTG-VKC-DEG-NLRNL"]
 
@@ -210,7 +207,6 @@ def test_rotation_preserves_view_parity(graph, stream, rotate_after):
     tenuity=st.integers(min_value=0, max_value=3),
     algorithm=st.sampled_from(ALGORITHMS),
     distance_engine=st.sampled_from(["oracle", "bitset"]),
-    kernel_backend=st.sampled_from(KERNEL_BACKENDS),
 )
 def test_epoch_service_solves_bit_identical(
     graph,
@@ -220,7 +216,6 @@ def test_epoch_service_solves_bit_identical(
     tenuity,
     algorithm,
     distance_engine,
-    kernel_backend,
 ):
     query = KTGQuery(
         keywords=tuple(keywords), group_size=group_size, tenuity=tenuity, top_n=3
@@ -233,7 +228,6 @@ def test_epoch_service_solves_bit_identical(
         algorithm,
         cache_capacity=0,
         distance_engine=distance_engine,
-        kernel_backend=kernel_backend,
         mutations=True,
         epoch_rotate_after=3,
         epoch_max_delta=64,
@@ -261,7 +255,6 @@ def test_epoch_service_solves_bit_identical(
         algorithm,
         cache_capacity=0,
         distance_engine=distance_engine,
-        kernel_backend=kernel_backend,
     ) as reference_service:
         reference_answer = reference_service.submit(query)
 

@@ -9,20 +9,21 @@ Two contracts, exercised over random graphs and queries:
   ranked groups (members AND coverages) *and* search stats identical to
   the oracle engine, for every strategy, with k-line filtering on or
   off, with budgets on or off.
-* **Backend equivalence** — the two kernel backends (scalar vs numpy,
-  which on numpy also engages the batched expansion core of
-  :mod:`repro.kernels.solve`) return identical ranked groups and
+* **Backend equivalence** — balls built by the numpy kernels equal the
+  ones built with numpy hidden (``vec._np = None``) on both layouts,
+  and bitset solves on either return identical ranked groups and
   identical :class:`SearchStats` ledgers, across strategies and pruning
   ablations.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.kernels.solve as solve_mod
 from repro.core.branch_and_bound import BranchAndBoundSolver
 from repro.core.bruteforce import BruteForceSolver
 from repro.core.graph import AttributedGraph
@@ -32,16 +33,11 @@ from repro.index.bfs import BFSOracle
 from repro.index.nl import NLIndex
 from repro.index.nlrnl import NLRNLIndex
 from repro.index.pll import PLLIndex
-from repro.kernels import BallBitsetEngine
-from repro.kernels.vec import numpy_available
+from repro.kernels import BallBitsetEngine, vec
 
 KEYWORD_POOL = ["a", "b", "c", "d", "e", "f"]
 
 ORACLES = [BFSOracle, NLIndex, NLRNLIndex, PLLIndex]
-
-# Scalar vs vectorized when numpy is importable; scalar vs the auto
-# fallback otherwise (the numpy-absent CI job runs that branch).
-KERNEL_BACKENDS = ["python", "numpy"] if numpy_available() else ["python", "auto"]
 
 STRATEGIES = [
     ("qkc", lambda g: QKCOrdering()),
@@ -105,19 +101,42 @@ def stats_profile(stats):
     graph=attributed_graphs(),
     oracle_index=st.integers(0, len(ORACLES) - 1),
     max_balls=st.sampled_from([0, 3, 8192]),
-    backend=st.sampled_from(KERNEL_BACKENDS),
     layout=st.sampled_from(["adjacency", "csr"]),
 )
-def test_ball_decodes_to_within_k(graph, oracle_index, max_balls, backend, layout):
+def test_ball_decodes_to_within_k(graph, oracle_index, max_balls, layout):
     oracle = ORACLES[oracle_index](graph)
-    engine = BallBitsetEngine(
-        oracle, max_balls=max_balls, graph_layout=layout, kernel_backend=backend
-    )
+    engine = BallBitsetEngine(oracle, max_balls=max_balls, graph_layout=layout)
     for vertex in range(graph.num_vertices):
         for k in (1, 2, 3, 4):
             assert engine.decode(engine.ball(vertex, k)) == oracle.within_k(
                 vertex, k
-            ), (type(oracle).__name__, vertex, k, backend, layout)
+            ), (type(oracle).__name__, vertex, k, layout)
+
+
+@contextlib.contextmanager
+def scalar_kernels():
+    """Context in which the kernels see no numpy (the ``vec._np`` seam)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec, "_np", None)
+        yield
+
+
+@pytest.mark.skipif(not vec.numpy_available(), reason="numpy not importable")
+@settings(max_examples=30, deadline=None)
+@given(graph=attributed_graphs())
+def test_ball_builds_identical_without_numpy(graph):
+    """The numpy ball builders and their scalar twins produce identical
+    bitsets on both layouts."""
+    keys = [(v, k) for v in range(graph.num_vertices) for k in (1, 2, 3, 4)]
+    for layout in ("adjacency", "csr"):
+        fast = BallBitsetEngine(BFSOracle(graph), graph_layout=layout)
+        fast_balls = [fast.ball(v, k) for v, k in keys]
+        with scalar_kernels():
+            scalar = BallBitsetEngine(BFSOracle(graph), graph_layout=layout)
+            scalar_balls = [scalar.ball(v, k) for v, k in keys]
+        assert (fast.backend, scalar.backend) == ("numpy", "python")
+        assert fast.vec_sweeps > 0 and scalar.vec_sweeps == 0
+        assert scalar_balls == fast_balls, layout
 
 
 # ----------------------------------------------------------------------
@@ -199,11 +218,11 @@ def test_bitset_bruteforce_identical(graph, query):
 
 
 # ----------------------------------------------------------------------
-# Backend equivalence (scalar vs batched expansion core)
+# Backend equivalence (numpy vs scalar ball kernels)
 # ----------------------------------------------------------------------
 def full_stats_profile(stats):
-    """Every SearchStats counter except wall time — the full ledger the
-    batched solver core must reproduce bit for bit."""
+    """Every SearchStats counter except wall time — the full ledger both
+    kernel backends must reproduce bit for bit."""
     profile = dataclasses.asdict(stats)
     profile.pop("elapsed_seconds")
     return profile
@@ -218,35 +237,27 @@ def full_stats_profile(stats):
     union=st.booleans(),
 )
 def test_solver_backend_bit_identical(graph, query, strategy_index, kline, union):
-    """The two kernel backends answer every configuration with identical
-    ranked groups AND an identical SearchStats ledger.  On numpy this
-    pins the batched expansion core (repro.kernels.solve) against the
-    scalar path; on the numpy-absent CI lane it pins scalar vs the auto
-    fallback.  BATCH_MIN_CANDIDATES drops to 0 so the tiny property
-    graphs exercise the batched path at every node."""
+    """Bitset solves with the numpy kernels and with numpy hidden answer
+    every configuration with identical ranked groups AND an identical
+    SearchStats ledger (on the numpy-absent CI lane both runs are
+    scalar).  ``test_prop_csr.py`` covers the csr layout."""
     _, factory = STRATEGIES[strategy_index]
 
-    def run(backend):
-        return BranchAndBoundSolver(
+    def run():
+        result = BranchAndBoundSolver(
             graph,
             oracle=BFSOracle(graph),
             strategy=factory(graph),
             distance_engine="bitset",
-            kernel_backend=backend,
             kline_filtering=kline,
             use_union_bound=union,
         ).solve(query)
+        return ranked_groups(result), full_stats_profile(result.stats)
 
-    saved = solve_mod.BATCH_MIN_CANDIDATES
-    solve_mod.BATCH_MIN_CANDIDATES = 0
-    try:
-        outcomes = [
-            (ranked_groups(result), full_stats_profile(result.stats))
-            for result in (run(backend) for backend in KERNEL_BACKENDS)
-        ]
-    finally:
-        solve_mod.BATCH_MIN_CANDIDATES = saved
-    assert outcomes[0] == outcomes[1], (kline, union)
+    fast = run()
+    with scalar_kernels():
+        scalar = run()
+    assert fast == scalar, (kline, union)
 
 
 @settings(max_examples=15, deadline=None)

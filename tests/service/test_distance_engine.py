@@ -114,9 +114,6 @@ class TestKernelReuse:
             "ball_evictions",
             "mask_filters",
             "vec_sweeps",
-            "node_batches",
-            "batched_scores",
-            "bulk_eliminations",
         }
         assert kernel["backend"] in ("numpy", "python")
 
