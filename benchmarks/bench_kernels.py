@@ -13,12 +13,9 @@ bookkeeping are engine-independent and dominate the remainder), so the
 solve pair records its speedup without a hard claim while asserting
 the results are bit-identical.
 
-Four views, one config:
+Three views, one config:
 
 * ``filter``  — the filtering primitive, oracle vs bitset (>= 3x claim);
-* ``vec``     — cold ball construction over the CSR arrays through the
-  engine, with numpy hidden (``vec._np = None``, the scalar python
-  builder) vs importable (the numpy-vectorized twin) (>= 3x claim);
 * ``solve``   — end-to-end branch and bound, bit-identical top-N;
 * ``service`` — :class:`QueryService` batch over a repeated-k workload
   (result cache off, so ball reuse across queries is what is measured).
@@ -35,10 +32,8 @@ register_bench_meta(
     title="ball-bitset engine vs oracle path (dense Twitter, k=2)",
 )
 
-import pytest
-
 from repro.core.coverage import CoverageContext
-from repro.kernels import BallBitsetEngine, vec
+from repro.kernels import BallBitsetEngine
 from repro.service import QueryService
 from repro.workloads.runner import ALGORITHMS
 
@@ -197,84 +192,6 @@ def test_kernels_filter_bitset(benchmark):
     check_claim(
         speedup >= 3.0,
         f"bitset filter speedup {speedup:.2f}x < 3x over {ALGORITHM} oracle",
-    )
-
-
-# ----------------------------------------------------------------------
-# Vectorized kernels: cold ball construction over the CSR arrays
-# ----------------------------------------------------------------------
-_vec_reference: dict[tuple, float] = {}
-
-
-def _ball_engine(oracle, numpy: bool) -> BallBitsetEngine:
-    """An uncached (``max_balls=0``) csr-layout engine on the numpy ball
-    builder, or — with numpy hidden through the ``vec._np`` seam while
-    the engine resolves its backend — on the scalar python one."""
-    with pytest.MonkeyPatch.context() as patch:
-        if not numpy:
-            patch.setattr(vec, "_np", None)
-        engine = BallBitsetEngine(oracle, max_balls=0, graph_layout="csr")
-    assert engine.backend == ("numpy" if numpy else "python")
-    return engine
-
-
-def _ball_sweep(engine: BallBitsetEngine) -> int:
-    """Build every vertex's k-ball cold (nothing is cached)."""
-    ball = engine.ball
-    for vertex in range(engine.graph.num_vertices):
-        ball(vertex, K)
-    return engine.graph.num_vertices
-
-
-def _vec_python_baseline(oracle) -> float:
-    """Warm scalar-builder sweep wall-clock (cached across tests)."""
-    key = (id(oracle), oracle.graph.num_vertices)
-    if key not in _vec_reference:
-        engine = _ball_engine(oracle, numpy=False)
-        _ball_sweep(engine)  # warm (CSR snapshot build)
-        started = time.perf_counter()
-        _ball_sweep(engine)
-        _vec_reference[key] = time.perf_counter() - started
-    return _vec_reference[key]
-
-
-def test_kernels_vec_build_python(benchmark):
-    _, _, oracle = _spec_and_oracle()
-    engine = _ball_engine(oracle, numpy=False)
-    _ball_sweep(engine)  # warm the CSR snapshot
-
-    balls = benchmark.pedantic(lambda: _ball_sweep(engine), rounds=1, iterations=1)
-    benchmark.extra_info["balls"] = balls
-
-
-@pytest.mark.skipif(not vec.numpy_available(), reason="numpy not importable")
-def test_kernels_vec_build_numpy(benchmark):
-    _, _, oracle = _spec_and_oracle()
-    scalar = _ball_engine(oracle, numpy=False)
-    vectorized = _ball_engine(oracle, numpy=True)
-
-    # Bit-identical balls, checked outside timing.
-    for vertex in range(0, oracle.graph.num_vertices, 7):
-        assert vectorized.ball(vertex, K) == scalar.ball(vertex, K)
-
-    python_seconds = _vec_python_baseline(oracle)
-    _ball_sweep(vectorized)  # warm the numpy CSR arrays
-    balls = benchmark.pedantic(
-        lambda: _ball_sweep(vectorized), rounds=1, iterations=1
-    )
-
-    mean_s = benchmark.stats.stats.mean
-    speedup = python_seconds / mean_s if mean_s > 0 else float("inf")
-    benchmark.extra_info["balls"] = balls
-    benchmark.extra_info["python_ms"] = round(python_seconds * 1000.0, 3)
-    benchmark.extra_info["speedup_vs_python"] = round(speedup, 2)
-
-    # The acceptance bar: the vectorized frontier gathers beat the
-    # scalar python CSR sweep >= 3x at the dense k=2 config.  Soft
-    # under --smoke (tiny frontiers leave mostly per-call overhead).
-    check_claim(
-        speedup >= 3.0,
-        f"vectorized ball build speedup {speedup:.2f}x < 3x over python CSR path",
     )
 
 

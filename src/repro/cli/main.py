@@ -126,12 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["oracle", "bitset"],
         help="tenuity-check engine: direct oracle probes or ball bitsets",
     )
-    query.add_argument(
-        "--graph-layout",
-        default="adjacency",
-        choices=["adjacency", "csr"],
-        help="traversal layout: per-vertex adjacency sets or the flat CSR snapshot",
-    )
 
     batch = commands.add_parser(
         "batch", help="serve a generated query batch through the QueryService"
@@ -184,12 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="oracle",
         choices=["oracle", "bitset"],
         help="tenuity-check engine; 'bitset' reuses ball caches across queries",
-    )
-    batch.add_argument(
-        "--graph-layout",
-        default="adjacency",
-        choices=["adjacency", "csr"],
-        help="traversal layout for oracle builds and process-worker solves",
     )
 
     serve = commands.add_parser(
@@ -260,12 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="oracle",
         choices=["oracle", "bitset"],
         help="tenuity-check engine for served solves",
-    )
-    serve.add_argument(
-        "--graph-layout",
-        default="adjacency",
-        choices=["adjacency", "csr"],
-        help="traversal layout for oracle builds and solves",
     )
     serve.add_argument(
         "--mutations",
@@ -388,12 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="oracle",
         choices=["oracle", "bitset"],
         help="tenuity-check engine for the instrumented solve",
-    )
-    stats.add_argument(
-        "--graph-layout",
-        default="adjacency",
-        choices=["adjacency", "csr"],
-        help="traversal layout for the instrumented solve",
     )
     stats.add_argument(
         "--churn",
@@ -520,13 +496,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             tenuity=args.tenuity,
             top_n=args.top_n,
         )
-    oracle = spec.build_oracle(graph, graph_layout=args.graph_layout)
-    solver = spec.build_solver(
-        graph,
-        oracle,
-        distance_engine=args.distance_engine,
-        graph_layout=args.graph_layout,
-    )
+    oracle = spec.build_oracle(graph)
+    solver = spec.build_solver(graph, oracle, distance_engine=args.distance_engine)
     result = solver.solve(query)
     print(result)
     print(f"(latency: {result.stats.elapsed_seconds * 1000:.1f} ms)")
@@ -557,7 +528,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         time_budget=args.time_budget,
         node_budget=args.node_budget,
         distance_engine=args.distance_engine,
-        graph_layout=args.graph_layout,
     ) as service:
         pass_rows = []
         for pass_number in range(1, args.passes + 1):
@@ -607,7 +577,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         node_budget=args.node_budget,
         cache_capacity=args.cache_capacity,
         distance_engine=args.distance_engine,
-        graph_layout=args.graph_layout,
         mutations=args.mutations,
         epoch_rotate_after=args.rotate_after,
         epoch_max_delta=args.max_delta,
@@ -626,7 +595,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             node_budget=args.node_budget,
             cache_capacity=args.cache_capacity,
             distance_engine=args.distance_engine,
-            graph_layout=args.graph_layout,
         )
         for profile in (p.strip() for p in args.graphs.split(",")):
             if not profile:
@@ -876,21 +844,17 @@ def _cmd_stats_solve(args: argparse.Namespace, graph) -> int:
         tenuity=args.tenuity,
         top_n=args.top_n,
     )
-    oracle = spec.build_oracle(graph, graph_layout=args.graph_layout)
+    oracle = spec.build_oracle(graph)
     oracle.stats.reset_usage()
     registry = InstrumentRegistry()
-    options: dict = {"graph_layout": args.graph_layout}
+    options: dict = {}
     if args.distance_engine == "bitset":
         # Build the kernel against the live registry so its
         # ``kernels.*`` counters land in the rendered report.
         from repro.kernels import BallBitsetEngine
 
         options["distance_engine"] = "bitset"
-        options["kernel"] = BallBitsetEngine(
-            oracle,
-            instruments=registry,
-            graph_layout=args.graph_layout,
-        )
+        options["kernel"] = BallBitsetEngine(oracle, instruments=registry)
     solver = spec.build_solver(graph, oracle, **options)
     result = solver.solve(query, hooks=InstrumentingHooks(registry))
     report = solve_report(result, oracle=oracle, instruments=registry)

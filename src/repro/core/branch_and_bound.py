@@ -36,7 +36,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.coverage import CoverageContext
-from repro.core.csr import validate_graph_layout
 from repro.core.errors import IndexBuildError
 from repro.core.pruning import keyword_prune_decision
 from repro.core.query import KTGQuery
@@ -169,14 +168,6 @@ class BranchAndBoundSolver:
         Optional prebuilt ball-bitset engine (implies the bitset
         engine).  Pass one to share its ball cache across solvers —
         e.g. queries served by one :class:`repro.service.QueryService`.
-    graph_layout:
-        ``"adjacency"`` (default) keeps every traversal on the mutable
-        ``list[set[int]]`` adjacency; ``"csr"`` routes the default
-        BFS oracle and a lazily-built bitset kernel over the graph's
-        flat CSR snapshot arrays (see :mod:`repro.core.csr`).  Groups
-        and :class:`SearchStats` are bit-identical across layouts —
-        only traversal speed changes.  An explicitly supplied
-        *oracle*/*kernel* keeps whatever layout it was built with.
 
     Examples
     --------
@@ -199,19 +190,13 @@ class BranchAndBoundSolver:
         time_budget: Optional[float] = None,
         distance_engine: str = "oracle",
         kernel: Optional["BallBitsetEngine"] = None,
-        graph_layout: str = "adjacency",
     ) -> None:
         if node_budget is not None and node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {node_budget}")
         if time_budget is not None and time_budget <= 0:
             raise ValueError(f"time_budget must be positive, got {time_budget}")
         self.graph = graph
-        self.graph_layout = validate_graph_layout(graph_layout)
-        self.oracle = (
-            oracle
-            if oracle is not None
-            else BFSOracle(graph, graph_layout=graph_layout)
-        )
+        self.oracle = oracle if oracle is not None else BFSOracle(graph)
         self.strategy = strategy if strategy is not None else VKCOrdering()
         self.keyword_pruning = keyword_pruning
         self.kline_filtering = kline_filtering
@@ -226,7 +211,7 @@ class BranchAndBoundSolver:
             from repro.kernels.engine import resolve_distance_engine
 
             self.kernel = resolve_distance_engine(
-                distance_engine, self.oracle, kernel, graph_layout
+                distance_engine, self.oracle, kernel
             )
         self.distance_engine = "bitset" if self.kernel is not None else "oracle"
         self._deadline: Optional[float] = None

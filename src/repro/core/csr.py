@@ -2,8 +2,8 @@
 
 The mutable :class:`~repro.core.graph.AttributedGraph` stores adjacency
 as ``list[set[int]]`` — ideal for ``add_edge``/``remove_edge`` and
-membership tests, but pointer-heavy for the traversal loops that
-dominate index builds, BFS oracles, and ball-bitset construction.  A
+membership tests, but a pointer-heavy object graph that can neither be
+frozen cheaply nor handed to another process without pickling.  A
 :class:`CsrSnapshot` freezes one graph version into four flat sections:
 
 ====================  ==========================  =======================
@@ -36,11 +36,17 @@ the same bytes valid in two transports:
   (:class:`repro.core.epoch.EpochManager` with ``shared=True`` places
   every epoch this way).
 
-Hot loops do not index the ``array`` buffers directly: boxing an ``int``
-per element makes ``array('i')[j]`` slower than a plain list in pure
-Python.  Instead :attr:`CsrSnapshot.indptr` / :attr:`CsrSnapshot.indices`
-materialise ordinary Python lists once per process (one ``tolist`` pass,
-measured at ~0.1 ms for a 13k-edge graph) and traversals scan those.
+Snapshots are the base of every epoch and the source of the ``ktg
+stats`` footprint table; traversals never read them directly.  Every
+oracle and kernel walks ``graph.adjacency_view()``: a
+:class:`CsrGraphView` materialises per-vertex sets from the snapshot
+once, and an :class:`repro.core.epoch.EpochGraphView` overlays its
+pending delta, so a traversal always sees the current graph version.
+Boxing an ``int`` per element makes ``array('i')[j]`` slower than a
+plain list in pure Python, so :attr:`CsrSnapshot.indptr` /
+:attr:`CsrSnapshot.indices` materialise ordinary Python lists once per
+process (one ``tolist`` pass, measured at ~0.1 ms for a 13k-edge graph)
+and the views read those.
 
 Lifecycle: the process that builds a shared snapshot *owns* the segment
 and must call :meth:`~CsrSnapshot.release` (close + unlink); attached
@@ -67,28 +73,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.graph import AttributedGraph
 
 __all__ = [
-    "GRAPH_LAYOUTS",
-    "validate_graph_layout",
     "CsrSnapshot",
     "CsrGraphView",
     "counter_totals",
     "reset_counters",
     "adjacency_footprint_bytes",
 ]
-
-#: Valid values for the ``graph_layout`` switch threaded through solvers,
-#: oracles, the service, and the CLI.
-GRAPH_LAYOUTS: tuple[str, ...] = ("adjacency", "csr")
-
-
-def validate_graph_layout(graph_layout: str) -> str:
-    """Return *graph_layout* unchanged, raising ``ValueError`` if unknown."""
-    if graph_layout not in GRAPH_LAYOUTS:
-        raise ValueError(
-            f"unknown graph_layout {graph_layout!r}; expected one of {GRAPH_LAYOUTS}"
-        )
-    return graph_layout
-
 
 # ----------------------------------------------------------------------
 # Binary layout
@@ -662,12 +652,8 @@ class CsrGraphView:
         return self.adjacency_view()[vertex]
 
     def adjacency_view(self) -> Sequence[frozenset[int]]:
-        """Per-vertex neighbour sets, materialised once on first use.
-
-        CSR-aware call sites should iterate :attr:`CsrSnapshot.indptr` /
-        :attr:`CsrSnapshot.indices` instead; this exists so adjacency-era
-        helpers keep working against a view.
-        """
+        """Per-vertex neighbour sets, materialised once on first use
+        (the read path every oracle and kernel traverses)."""
         if self._adjacency_sets is None:
             snapshot = self._snapshot
             indptr = snapshot.indptr

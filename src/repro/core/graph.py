@@ -32,7 +32,31 @@ from repro.core.errors import (
     UnknownVertexError,
 )
 
-__all__ = ["KeywordTable", "AttributedGraph"]
+__all__ = ["KeywordTable", "AttributedGraph", "component_labels"]
+
+
+def component_labels(adjacency: Sequence[Iterable[int]]) -> list[int]:
+    """Return a component id per vertex of *adjacency*.
+
+    Ids are dense and numbered in order of each component's smallest
+    vertex, so any two adjacency views of the same graph (mutable sets,
+    a CSR view, an epoch view) get identical labels.
+    """
+    component = [-1] * len(adjacency)
+    next_id = 0
+    for start in range(len(adjacency)):
+        if component[start] != -1:
+            continue
+        component[start] = next_id
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in adjacency[u]:
+                if component[v] == -1:
+                    component[v] = next_id
+                    stack.append(v)
+        next_id += 1
+    return component
 
 
 class KeywordTable:
@@ -454,23 +478,8 @@ class AttributedGraph:
     # Interop & misc
     # ------------------------------------------------------------------
     def connected_components(self) -> list[int]:
-        """Return a component id per vertex (ids are arbitrary but dense)."""
-        component = [-1] * self._num_vertices
-        adjacency = self._adjacency
-        next_id = 0
-        for start in range(self._num_vertices):
-            if component[start] != -1:
-                continue
-            component[start] = next_id
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in adjacency[u]:
-                    if component[v] == -1:
-                        component[v] = next_id
-                        stack.append(v)
-            next_id += 1
-        return component
+        """Return a component id per vertex (see :func:`component_labels`)."""
+        return component_labels(self._adjacency)
 
     def average_degree(self) -> float:
         """Return ``2|E| / |V|`` (0.0 for the empty graph)."""

@@ -5,14 +5,9 @@ as returned by :meth:`repro.core.graph.AttributedGraph.adjacency_view`)
 and use flat integer arrays instead of dicts, which is measurably faster
 for the thousands of BFS runs an index build performs.
 
-The ``*_csr`` variants take the flat ``indptr``/``indices`` arrays of a
-:class:`repro.core.csr.CsrSnapshot` instead.  Scanning a contiguous list
-slice per row avoids the per-set iterator protocol and hash-bucket
-walks, which measures ~1.3x faster on the dense synthetic profiles (see
-``benchmarks/bench_csr_fanout.py``).  Both variants visit neighbours in
-the same order *per level set* but report identical level sets and
-distances — every consumer in this package is order-insensitive within
-a level.
+Callers always pass the graph's live ``adjacency_view()``.  On an
+:class:`repro.core.epoch.EpochGraphView` that is the base snapshot with
+the pending delta applied, so a traversal never reads a stale version.
 """
 
 from __future__ import annotations
@@ -23,8 +18,6 @@ from typing import Optional
 __all__ = [
     "bfs_levels",
     "bfs_distance_array",
-    "bfs_levels_csr",
-    "bfs_distance_array_csr",
     "UNREACHABLE",
 ]
 
@@ -95,56 +88,3 @@ def bfs_distance_array(
         frontier = next_frontier
     return distances
 
-
-def bfs_levels_csr(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    source: int,
-    max_depth: Optional[int] = None,
-) -> list[list[int]]:
-    """CSR twin of :func:`bfs_levels` over flat ``indptr``/``indices``."""
-    n = len(indptr) - 1
-    seen = bytearray(n)
-    seen[source] = 1
-    levels: list[list[int]] = []
-    frontier = [source]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        depth += 1
-        next_frontier: list[int] = []
-        append = next_frontier.append
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = 1
-                    append(v)
-        if not next_frontier:
-            break
-        levels.append(next_frontier)
-        frontier = next_frontier
-    return levels
-
-
-def bfs_distance_array_csr(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    source: int,
-    max_depth: Optional[int] = None,
-) -> list[int]:
-    """CSR twin of :func:`bfs_distance_array` over flat ``indptr``/``indices``."""
-    n = len(indptr) - 1
-    distances = [UNREACHABLE] * n
-    distances[source] = 0
-    frontier = [source]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        depth += 1
-        next_frontier: list[int] = []
-        append = next_frontier.append
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if distances[v] == UNREACHABLE:
-                    distances[v] = depth
-                    append(v)
-        frontier = next_frontier
-    return distances

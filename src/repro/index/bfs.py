@@ -13,7 +13,6 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
-from repro.core.csr import validate_graph_layout
 from repro.index.base import DistanceOracle, GraphLike
 
 __all__ = ["BFSOracle"]
@@ -33,11 +32,9 @@ class BFSOracle(DistanceOracle):
         ``stats.memo_evictions``).  ``0`` disables the memo entirely
         (useful for measuring raw BFS cost in the oracle ablation
         bench).
-    graph_layout:
-        ``"adjacency"`` walks the ``list[set[int]]`` adjacency;
-        ``"csr"`` walks the flat ``indptr``/``indices`` arrays of the
-        graph's CSR snapshot (~1.3x faster ball growth on dense
-        graphs, bit-identical results).
+
+    Balls grow over ``graph.adjacency_view()``, so an oracle over an
+    :class:`~repro.core.epoch.EpochGraphView` sees its pending delta.
     """
 
     name = "bfs"
@@ -46,18 +43,11 @@ class BFSOracle(DistanceOracle):
         self,
         graph: GraphLike,
         cache_size: int = 1024,
-        graph_layout: str = "adjacency",
     ) -> None:
         super().__init__(graph)
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         self._cache_size = cache_size
-        self.graph_layout = validate_graph_layout(graph_layout)
-        # Flat CSR arrays for the csr layout, materialised lazily per
-        # graph version (see _csr_arrays).
-        self._csr_version: Optional[int] = None
-        self._csr_indptr: Optional[list[int]] = None
-        self._csr_indices: Optional[list[int]] = None
         # Memo entries are (seen, frontier, exhausted): *seen* is the
         # 1..k ball (vertex excluded), *frontier* the vertices at exactly
         # depth k (the resume point for a later, larger k), *exhausted*
@@ -140,52 +130,21 @@ class BFSOracle(DistanceOracle):
             frontier = [vertex]
             rounds = k
         exhausted = False
-        if self.graph_layout == "csr":
-            indptr, indices = self._csr_arrays()
-            for _ in range(rounds):
-                next_frontier = []
-                for u in frontier:
-                    for w in indices[indptr[u] : indptr[u + 1]]:
-                        if w not in seen:
-                            seen.add(w)
-                            next_frontier.append(w)
-                if not next_frontier:
-                    exhausted = True
-                    break
-                frontier = next_frontier
-        else:
-            adjacency = self.graph.adjacency_view()
-            for _ in range(rounds):
-                next_frontier = []
-                for u in frontier:
-                    for w in adjacency[u]:
-                        if w not in seen:
-                            seen.add(w)
-                            next_frontier.append(w)
-                if not next_frontier:
-                    exhausted = True
-                    break
-                frontier = next_frontier
+        adjacency = self.graph.adjacency_view()
+        for _ in range(rounds):
+            next_frontier = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        next_frontier.append(w)
+            if not next_frontier:
+                exhausted = True
+                break
+            frontier = next_frontier
         seen.discard(vertex)
         self._store(vertex, k, seen, frontier, exhausted)
         return seen
-
-    def _csr_arrays(self) -> tuple[list[int], list[int]]:
-        """Return (indptr, indices) for the current graph version.
-
-        Works against both graph flavours: an ``AttributedGraph`` serves
-        its cached per-version snapshot, a ``CsrGraphView`` serves the
-        snapshot it wraps.
-        """
-        if self._csr_indptr is None or self._csr_version != self.graph.version:
-            snapshot = getattr(self.graph, "snapshot", None)
-            if snapshot is None:
-                snapshot = self.graph.csr_snapshot()  # type: ignore[union-attr]
-            self._csr_indptr = snapshot.indptr
-            self._csr_indices = snapshot.indices
-            self._csr_version = self.graph.version
-        assert self._csr_indices is not None
-        return self._csr_indptr, self._csr_indices
 
     def _store(
         self, vertex: int, k: int, seen: set[int], frontier: list[int], exhausted: bool
@@ -227,7 +186,6 @@ class BFSOracle(DistanceOracle):
     def insert_vertex(self, labels=()) -> int:
         # An isolated vertex is in no memoised ball; nothing to evict.
         vertex = self.graph.add_vertex(labels)
-        self._drop_csr_arrays()
         self._built_version = self.graph.version
         return vertex
 
@@ -240,18 +198,11 @@ class BFSOracle(DistanceOracle):
             ]
             for key in stale:
                 del self._cache[key]
-        self._drop_csr_arrays()
         self._built_version = self.graph.version
-
-    def _drop_csr_arrays(self) -> None:
-        self._csr_version = None
-        self._csr_indptr = None
-        self._csr_indices = None
 
     def rebuild(self) -> None:
         with self._memo_lock:
             self._cache.clear()
-        self._drop_csr_arrays()
         super().rebuild()
 
     # ------------------------------------------------------------------
@@ -262,10 +213,6 @@ class BFSOracle(DistanceOracle):
         state = dict(self.__dict__)
         state["_memo_lock"] = None
         state["_cache"] = OrderedDict()
-        # Flat CSR arrays re-materialise lazily in the target process.
-        state["_csr_version"] = None
-        state["_csr_indptr"] = None
-        state["_csr_indices"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

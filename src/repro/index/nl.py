@@ -28,9 +28,8 @@ import threading
 import time
 from typing import Literal, Union
 
-from repro.core.csr import validate_graph_layout
 from repro.core.errors import IndexBuildError
-from repro.index._traversal import bfs_levels, bfs_levels_csr
+from repro.index._traversal import bfs_levels
 from repro.index.base import DistanceOracle, GraphLike
 
 __all__ = ["NLIndex", "choose_peak_level"]
@@ -70,18 +69,8 @@ class NLIndex(DistanceOracle):
     rng:
         Random source for the auto-depth BFS sample (injectable for
         reproducibility).
-    graph_layout:
-        ``"adjacency"`` (default) builds levels by walking the set
-        adjacency; ``"csr"`` walks the graph's flat CSR snapshot
-        arrays.  Identical level sets either way — only the build
-        speed differs.  On-demand expansion always uses
-        ``adjacency_view()`` (a :class:`~repro.core.csr.CsrGraphView`
-        materialises one on first use).  Csr-layout builds run the
-        numpy-vectorized BFS of :mod:`repro.kernels.vec` when numpy is
-        importable and the scalar csr kernel otherwise; level sets, the
-        auto-depth choice and :attr:`stats` are identical either way
-        (the vectorized kernel sorts within a level, which the stored
-        sets erase).
+
+    The build and on-demand expansion both walk ``adjacency_view()``.
 
     Examples
     --------
@@ -100,11 +89,7 @@ class NLIndex(DistanceOracle):
         graph: GraphLike,
         depth: Union[int, Literal["auto"]] = "auto",
         rng: random.Random | None = None,
-        graph_layout: str = "adjacency",
     ) -> None:
-        # rebuild() (called at the end of __init__) reads this to pick
-        # the traversal kernel.
-        self.graph_layout = validate_graph_layout(graph_layout)
         super().__init__(graph)
         if depth != "auto" and (not isinstance(depth, int) or depth < 1):
             raise IndexBuildError(f"depth must be a positive int or 'auto', got {depth!r}")
@@ -134,42 +119,9 @@ class NLIndex(DistanceOracle):
         graph = self.graph
         n = graph.num_vertices
 
-        # Both kernels produce identical level *sets*; the csr variant
-        # scans the snapshot's flat arrays instead of the adjacency sets.
-        if self.graph_layout == "csr":
-            snapshot = getattr(graph, "snapshot", None)
-            if snapshot is None:
-                snapshot = graph.csr_snapshot()  # type: ignore[union-attr]
-            indptr, indices = snapshot.indptr, snapshot.indices
-            # Lazy import: repro.index stays importable without pulling
-            # the kernels package unless a csr build asks for it.
-            from repro.kernels import vec
-
-            np = vec.numpy_or_none()
-            if np is not None:
-                np_indptr = np.asarray(indptr, dtype=np.int64)
-                np_indices = np.asarray(indices, dtype=np.int64)
-
-                def run_bfs(
-                    vertex: int, max_depth: int | None = None
-                ) -> list[list[int]]:
-                    return vec.bfs_levels_csr(np_indptr, np_indices, vertex, max_depth)
-
-            else:
-
-                def run_bfs(
-                    vertex: int, max_depth: int | None = None
-                ) -> list[list[int]]:
-                    return bfs_levels_csr(indptr, indices, vertex, max_depth)
-
-        else:
-            adjacency = graph.adjacency_view()
-
-            def run_bfs(vertex: int, max_depth: int | None = None) -> list[list[int]]:
-                return bfs_levels(adjacency, vertex, max_depth)
-
+        adjacency = graph.adjacency_view()
         if self._requested_depth == "auto":
-            self.depth = self._auto_depth(run_bfs, n)
+            self.depth = self._auto_depth(adjacency, n)
         else:
             self.depth = int(self._requested_depth)
 
@@ -178,7 +130,9 @@ class NLIndex(DistanceOracle):
         exhausted: list[bool] = []
         entries = 0
         for vertex in range(n):
-            vertex_levels = [set(level) for level in run_bfs(vertex, self.depth)]
+            vertex_levels = [
+                set(level) for level in bfs_levels(adjacency, vertex, self.depth)
+            ]
             entries += sum(len(level) for level in vertex_levels)
             levels.append(vertex_levels)
             stored_depth.append(len(vertex_levels))
@@ -194,12 +148,8 @@ class NLIndex(DistanceOracle):
         self.stats.extra["depth"] = self.depth
         super().rebuild()
 
-    def _auto_depth(self, run_bfs, n: int) -> int:
-        """Pick ``h`` as the hop level with peak average neighbour count.
-
-        *run_bfs* is the layout-appropriate level kernel; the heuristic
-        only consumes level sizes, so both layouts choose the same depth.
-        """
+    def _auto_depth(self, adjacency, n: int) -> int:
+        """Pick ``h`` as the hop level with peak average neighbour count."""
         if n == 0:
             return 1
         if n <= _AUTO_SAMPLE:
@@ -208,7 +158,7 @@ class NLIndex(DistanceOracle):
             sample = self._rng.sample(range(n), _AUTO_SAMPLE)
         totals: list[float] = []
         for vertex in sample:
-            for position, level in enumerate(run_bfs(vertex)):
+            for position, level in enumerate(bfs_levels(adjacency, vertex)):
                 if position == len(totals):
                     totals.append(0.0)
                 totals[position] += len(level)

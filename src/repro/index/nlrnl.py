@@ -67,7 +67,7 @@ from itertools import compress, repeat
 from typing import Union
 
 from repro.core.errors import IndexUpdateError
-from repro.core.graph import AttributedGraph
+from repro.core.graph import AttributedGraph, component_labels
 from repro.index._traversal import UNREACHABLE, bfs_distance_array, bfs_levels
 from repro.index.base import DistanceOracle
 from repro.index.nl import choose_peak_level
@@ -158,7 +158,7 @@ class NLRNLIndex(DistanceOracle):
 
         self._depth_of = depth_of
         self._c = c_values
-        self._component = graph.connected_components()
+        self._component = component_labels(adjacency)
         self._reset_row_cache()
 
         self.stats.entries = entries
@@ -390,7 +390,7 @@ class NLRNLIndex(DistanceOracle):
         vertex = self.graph.add_vertex(labels)
         self._depth_of.append({})
         self._c.append(choose_peak_level([]))
-        self._component = self.graph.connected_components()
+        self._component = component_labels(self.graph.adjacency_view())
         # Every cached row is one byte short of the new vertex.
         self._reset_row_cache()
         self._built_version = self.graph.version
@@ -403,7 +403,7 @@ class NLRNLIndex(DistanceOracle):
 
         ``c`` values are kept frozen (see module docstring).  Components
         are recomputed only when *relabel* says the edit merged or split
-        one; otherwise ``connected_components()`` would return the same
+        one; otherwise :func:`component_labels` would return the same
         labels.
         """
         adjacency = self.graph.adjacency_view()
@@ -414,7 +414,7 @@ class NLRNLIndex(DistanceOracle):
             self._depth_of[vertex] = vertex_map
             self.stats.entries += len(vertex_map) - old_entries
         if relabel:
-            self._component = self.graph.connected_components()
+            self._component = component_labels(adjacency)
         self._evict_rows(vertices)
         extra = self.stats.extra
         extra["repaired_vertices"] = extra.get("repaired_vertices", 0) + len(vertices)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import time
 
-from repro.core.csr import validate_graph_layout
 from repro.index.base import DistanceOracle, GraphLike
 
 __all__ = ["PLLIndex"]
@@ -49,9 +48,7 @@ class PLLIndex(DistanceOracle):
 
     name = "pll"
 
-    def __init__(self, graph: GraphLike, graph_layout: str = "adjacency") -> None:
-        # rebuild() (called below) reads this to pick the neighbour scan.
-        self.graph_layout = validate_graph_layout(graph_layout)
+    def __init__(self, graph: GraphLike) -> None:
         super().__init__(graph)
         # _labels[v]: dict landmark -> distance.  Landmarks are vertex
         # ids; every vertex is its own landmark at distance 0 (stored
@@ -68,35 +65,10 @@ class PLLIndex(DistanceOracle):
         graph = self.graph
         n = graph.num_vertices
 
-        # Layout switch: the csr kernel scans the snapshot's flat
-        # indptr/indices arrays instead of the per-vertex sets.  Labels
-        # come out identical — pruning only consults labels written by
-        # earlier landmarks (or the same landmark at shallower depth),
-        # never the within-level visit order.
-        if self.graph_layout == "csr":
-            snapshot = getattr(graph, "snapshot", None)
-            if snapshot is None:
-                snapshot = graph.csr_snapshot()  # type: ignore[union-attr]
-            indptr = snapshot.indptr
-            indices = snapshot.indices
-
-            def neighbors_of(vertex: int):
-                return indices[indptr[vertex] : indptr[vertex + 1]]
-
-            def degree_of(vertex: int) -> int:
-                return indptr[vertex + 1] - indptr[vertex]
-
-        else:
-            adjacency = graph.adjacency_view()
-
-            def neighbors_of(vertex: int):
-                return adjacency[vertex]
-
-            def degree_of(vertex: int) -> int:
-                return len(adjacency[vertex])
+        adjacency = graph.adjacency_view()
 
         # Degree-descending landmark order: hubs first prune the most.
-        order = sorted(range(n), key=lambda v: -degree_of(v))
+        order = sorted(range(n), key=lambda v: -len(adjacency[v]))
         labels: list[dict[int, int]] = [dict() for _ in range(n)]
 
         for landmark in order:
@@ -115,7 +87,7 @@ class PLLIndex(DistanceOracle):
                     if certified <= depth:
                         continue
                     labels[vertex][landmark] = depth
-                    for neighbor in neighbors_of(vertex):
+                    for neighbor in adjacency[vertex]:
                         if neighbor not in distances:
                             distances[neighbor] = depth + 1
                             next_frontier.append(neighbor)

@@ -196,9 +196,6 @@ def _restore_rng(state_json: object) -> random.Random:
 def _load_nl(graph: AttributedGraph, payload: dict, document: dict) -> NLIndex:
     index = NLIndex.__new__(NLIndex)
     DistanceOracle.__init__(index, graph)
-    # graph_layout is a runtime preference, not persisted index data:
-    # loaded indexes rebuild with the default set-based kernel.
-    index.graph_layout = "adjacency"
     index._requested_depth = payload.get("requested_depth", payload["depth"])
     index._rng = _restore_rng(payload.get("rng_state"))
     index._expand_lock = threading.Lock()
@@ -217,7 +214,6 @@ def _load_nl(graph: AttributedGraph, payload: dict, document: dict) -> NLIndex:
 def _load_pll(graph: AttributedGraph, payload: dict, document: dict) -> PLLIndex:
     index = PLLIndex.__new__(PLLIndex)
     DistanceOracle.__init__(index, graph)
-    index.graph_layout = "adjacency"
     index._order = list(payload["order"])
     index._labels = [
         {int(w): d for w, d in label.items()} for label in payload["labels"]

@@ -36,7 +36,6 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Sequence
 
-from repro.core.csr import validate_graph_layout
 from repro.index.base import DistanceOracle, GraphLike
 from repro.kernels import vec
 from repro.obs.instruments import NULL_REGISTRY, InstrumentRegistry
@@ -74,21 +73,15 @@ class BallBitsetEngine:
         ``kernels.vec_sweeps``.  Local integer mirrors of the same
         counts are always kept (see :meth:`counters`) so benches can
         read them without a live registry.
-    graph_layout:
-        ``"adjacency"`` (default) builds missed balls through
-        ``oracle.within_k``; ``"csr"`` grows them by direct BFS over
-        the graph's flat CSR snapshot arrays, packing bits into a
-        ``bytearray`` as vertices are discovered (~1.3x faster on
-        dense graphs).  Every oracle in this library is exact, so both
-        paths produce the identical bitset; only the oracle's own
-        probe/memo counters differ (the csr path never consults it on
-        a miss).
 
-    Balls are built and wide masks decoded by the numpy kernels of
-    :mod:`repro.kernels.vec` when numpy is importable at construction
-    (``backend == "numpy"``) and by their pure-python twins otherwise.
-    Both are bit-identical by construction; each vectorized sweep bumps
-    the ``kernels.vec_sweeps`` counter.
+    A missed ball is ``oracle.within_k(vertex, k)`` packed into an int,
+    so every ball reads the oracle's graph as it is now (on an
+    :class:`~repro.core.epoch.EpochGraphView`, the snapshot plus its
+    pending delta).  Balls are packed and wide masks decoded by the
+    numpy kernels of :mod:`repro.kernels.vec` when numpy is importable
+    at construction (``backend == "numpy"``) and by their pure-python
+    twins otherwise.  Both are bit-identical by construction; each
+    vectorized sweep bumps the ``kernels.vec_sweeps`` counter.
 
     Examples
     --------
@@ -108,24 +101,13 @@ class BallBitsetEngine:
         *,
         max_balls: int = DEFAULT_MAX_BALLS,
         instruments: InstrumentRegistry = NULL_REGISTRY,
-        graph_layout: str = "adjacency",
     ) -> None:
         if max_balls < 0:
             raise ValueError(f"max_balls must be >= 0, got {max_balls}")
         self.oracle = oracle
         self.max_balls = max_balls
-        self.graph_layout = validate_graph_layout(graph_layout)
         #: "numpy" when the vectorized kernels are importable, else "python".
         self.backend = "numpy" if vec.numpy_available() else "python"
-        # Flat CSR arrays for the csr layout, materialised lazily per
-        # graph version (see _csr_arrays).  The numpy twins carry their
-        # own version stamp because either representation may be
-        # refreshed first after a graph mutation.
-        self._csr_version: Optional[int] = None
-        self._csr_indptr: Optional[list[int]] = None
-        self._csr_indices: Optional[list[int]] = None
-        self._csr_np_version: Optional[int] = None
-        self._csr_np: Optional[tuple[object, object]] = None
         self._balls: OrderedDict[tuple[int, int], int] = OrderedDict()
         self._version = oracle.graph.version
         self._lock = threading.Lock()
@@ -197,19 +179,11 @@ class BallBitsetEngine:
                 if len(balls) * 2 >= self.max_balls and key in balls:
                     balls.move_to_end(key)
             return bits
-        used_vec = False
-        if self.graph_layout == "csr":
-            if self.backend == "numpy":
-                indptr, indices = self._csr_arrays_vec()
-                bits = vec.ball_bits_csr(indptr, indices, vertex, k)
-                used_vec = True
-            else:
-                bits = self._build_ball_csr(vertex, k)
-        elif self.backend == "numpy":
+        used_vec = self.backend == "numpy"
+        if used_vec:
             bits = vec.pack_vertices(
                 self.oracle.within_k(vertex, k), graph.num_vertices
             )
-            used_vec = True
         else:
             bits = 0
             for u in self.oracle.within_k(vertex, k):
@@ -227,62 +201,6 @@ class BallBitsetEngine:
                     self.ball_evictions += 1
                     self._evictions_counter.inc()
         return bits
-
-    def _build_ball_csr(self, vertex: int, k: int) -> int:
-        """Grow a k-ball by BFS over flat CSR arrays, packing bits as
-        vertices are discovered.
-
-        Bit ``i`` of byte ``b`` in the little-endian buffer is vertex
-        ``8 b + i`` — the same weight ``1 << v`` the adjacency path ORs
-        in — so ``int.from_bytes(..., "little")`` yields the identical
-        bitset without one big-int shift per vertex.
-        """
-        indptr, indices = self._csr_arrays()
-        n = len(indptr) - 1
-        seen = bytearray(n)
-        seen[vertex] = 1
-        bitbuf = bytearray((n + 7) >> 3)
-        frontier = [vertex]
-        for _ in range(k):
-            next_frontier: list[int] = []
-            append = next_frontier.append
-            for u in frontier:
-                for w in indices[indptr[u] : indptr[u + 1]]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        append(w)
-                        bitbuf[w >> 3] |= 1 << (w & 7)
-            if not next_frontier:
-                break
-            frontier = next_frontier
-        return int.from_bytes(bitbuf, "little")
-
-    def _csr_arrays(self) -> tuple[list[int], list[int]]:
-        """Flat (indptr, indices) for the current graph version."""
-        graph = self.oracle.graph
-        if self._csr_indptr is None or self._csr_version != graph.version:
-            snapshot = getattr(graph, "snapshot", None)
-            if snapshot is None:
-                snapshot = graph.csr_snapshot()  # type: ignore[union-attr]
-            self._csr_indptr = snapshot.indptr
-            self._csr_indices = snapshot.indices
-            self._csr_version = graph.version
-        assert self._csr_indices is not None
-        return self._csr_indptr, self._csr_indices
-
-    def _csr_arrays_vec(self) -> tuple[object, object]:
-        """numpy int64 (indptr, indices) for the current graph version."""
-        graph = self.oracle.graph
-        if self._csr_np is None or self._csr_np_version != graph.version:
-            indptr, indices = self._csr_arrays()
-            np = vec.numpy_or_none()
-            assert np is not None  # backend "numpy" implies importable
-            self._csr_np = (
-                np.asarray(indptr, dtype=np.int64),
-                np.asarray(indices, dtype=np.int64),
-            )
-            self._csr_np_version = graph.version
-        return self._csr_np
 
     def blocked_mask(self, vertex: int, k: int) -> int:
         """The ball of *vertex* plus the vertex itself — everything a
@@ -316,28 +234,18 @@ class BallBitsetEngine:
             self.ball_evictions += len(stale)
             self._evictions_counter.inc(len(stale))
             self._version = graph.version
-            self._csr_version = None
-            self._csr_indptr = None
-            self._csr_indices = None
-            self._csr_np_version = None
-            self._csr_np = None
 
     def sync_version(self) -> None:
         """Adopt the graph version after a ball-preserving mutation.
 
         Keyword edits and isolated-vertex appends change no distance, so
-        every resident ball stays exact; only the version stamp (and the
-        flat CSR mirrors, whose width may have grown) must follow, lest
-        the next :meth:`ball` call clear the cache wholesale.
+        every resident ball stays exact; only the version stamp must
+        follow, lest the next :meth:`ball` call clear the cache
+        wholesale.
         """
         graph = self.oracle.graph
         with self._lock:
             self._version = graph.version
-            self._csr_version = None
-            self._csr_indptr = None
-            self._csr_indices = None
-            self._csr_np_version = None
-            self._csr_np = None
 
     # ------------------------------------------------------------------
     # Encoding helpers
@@ -474,12 +382,6 @@ class BallBitsetEngine:
         state = dict(self.__dict__)
         state["_lock"] = None
         state["_balls"] = OrderedDict()
-        # Flat CSR arrays re-materialise lazily in the target process.
-        state["_csr_version"] = None
-        state["_csr_indptr"] = None
-        state["_csr_indices"] = None
-        state["_csr_np_version"] = None
-        state["_csr_np"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -498,15 +400,12 @@ def resolve_distance_engine(
     distance_engine: str,
     oracle: DistanceOracle,
     kernel: Optional[BallBitsetEngine],
-    graph_layout: str = "adjacency",
 ) -> Optional[BallBitsetEngine]:
     """Shared constructor-time validation for every solver layer.
 
     Returns the kernel to use (``None`` for the oracle path).  Passing a
     prebuilt *kernel* implies the bitset engine; building one lazily
     happens only when ``distance_engine="bitset"`` and none was shared.
-    *graph_layout* seeds a lazily-built kernel's ball-construction path;
-    a prebuilt kernel keeps whatever layout it was created with.
     """
     if distance_engine not in ("oracle", "bitset"):
         raise ValueError(
@@ -519,5 +418,5 @@ def resolve_distance_engine(
             )
         return kernel
     if distance_engine == "bitset":
-        return BallBitsetEngine(oracle, graph_layout=graph_layout)
+        return BallBitsetEngine(oracle)
     return None

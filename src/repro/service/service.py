@@ -43,7 +43,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from repro.core.dktg import DKTGResult
 from repro.core.branch_and_bound import KTGResult
-from repro.core.csr import validate_graph_layout
 from repro.core.epoch import DEFAULT_MAX_DELTA, DEFAULT_ROTATE_AFTER, EpochManager
 from repro.core.errors import EpochError
 from repro.core.graph import AttributedGraph
@@ -171,19 +170,18 @@ def _process_worker_init(
     spec: AlgorithmSpec,
     oracle: Optional[DistanceOracle],
     distance_engine: str = "oracle",
-    graph_layout: str = "adjacency",
 ) -> None:
     global _WORKER_STATE
     if oracle is None:
-        oracle = spec.build_oracle(graph, graph_layout=graph_layout)
+        oracle = spec.build_oracle(graph)
     kernel = None
     if distance_engine == "bitset":
         # One ball cache per worker process, reused across every query
         # the worker serves (the cross-query reuse the kernel exists for).
         from repro.kernels import BallBitsetEngine
 
-        kernel = BallBitsetEngine(oracle, graph_layout=graph_layout)
-    _WORKER_STATE = (graph, spec, oracle, kernel, graph_layout)
+        kernel = BallBitsetEngine(oracle)
+    _WORKER_STATE = (graph, spec, oracle, kernel)
 
 
 def _process_solve(
@@ -192,12 +190,8 @@ def _process_solve(
     node_budget: Optional[int],
 ) -> tuple[AnyResult, float]:
     assert _WORKER_STATE is not None, "worker initializer did not run"
-    graph, spec, oracle, kernel, graph_layout = _WORKER_STATE
-    options: dict = {
-        "time_budget": time_budget,
-        "node_budget": node_budget,
-        "graph_layout": graph_layout,
-    }
+    graph, spec, oracle, kernel = _WORKER_STATE
+    options: dict = {"time_budget": time_budget, "node_budget": node_budget}
     if kernel is not None:
         options["distance_engine"] = "bitset"
         options["kernel"] = kernel
@@ -246,15 +240,6 @@ class QueryService:
         **reused across queries** with the same tenuity ``k`` — the
         second query over the same keyword universe skips every ball
         rebuild.  Results are bit-identical either way.
-    graph_layout:
-        ``"adjacency"`` (default) or ``"csr"`` — the traversal layout
-        for oracle builds and ball construction (see
-        :class:`repro.core.csr.CsrSnapshot`).  Served answers are
-        bit-identical across layouts.  Balls and csr BFS levels are
-        built by the numpy kernels of :mod:`repro.kernels.vec` when
-        numpy is importable and by their scalar twins otherwise;
-        :meth:`instrument_report` tags the kernel section with the
-        backend in use.
     instruments:
         An :class:`repro.obs.instruments.InstrumentRegistry` collecting
         per-phase latency histograms (``service.cache_lookup_ms``,
@@ -289,7 +274,6 @@ class QueryService:
         graph_id: str = "default",
         cache_capacity: int = 1024,
         distance_engine: str = "oracle",
-        graph_layout: str = "adjacency",
         mutations: bool = False,
         epoch_rotate_after: int = DEFAULT_ROTATE_AFTER,
         epoch_max_delta: int = DEFAULT_MAX_DELTA,
@@ -307,11 +291,6 @@ class QueryService:
             raise ValueError(
                 "mutations=True requires executor='thread': process workers "
                 "snapshot the graph at pool start and would serve stale answers"
-            )
-        if mutations and graph_layout != "adjacency":
-            raise ValueError(
-                "mutations=True requires graph_layout='adjacency': the csr "
-                "layout binds traversal to one frozen snapshot per version"
             )
         if distance_engine not in ("oracle", "bitset"):
             raise ValueError(
@@ -333,7 +312,6 @@ class QueryService:
         self.node_budget = node_budget
         self.cache = ResultCache(cache_capacity)
         self.distance_engine = distance_engine
-        self.graph_layout = validate_graph_layout(graph_layout)
         self._kernel = None
         # Lazy-init guard: concurrent run_batch calls race to build the
         # worker pool; without this lock the losers leaked whole pools.
@@ -555,17 +533,6 @@ class QueryService:
                 "backend": kernel.backend,
                 **kernel.counters(),
             }
-        if self.graph_layout == "csr":
-            from repro.core.csr import counter_totals
-
-            cached = getattr(self.graph, "_csr_cache", None)
-            report["csr"] = {
-                "graph_layout": self.graph_layout,
-                "snapshot_built": cached is not None
-                and cached.graph_version == self.graph.version,
-                "snapshot_bytes": cached.nbytes if cached is not None else 0,
-                **counter_totals(),
-            }
         if self._epochs is not None:
             from repro.core.epoch import counter_totals as epoch_counter_totals
 
@@ -620,9 +587,7 @@ class QueryService:
         """Build (or rebuild after graph mutation) the shared oracle."""
         with self._oracle_lock:
             if self._oracle is None or self._oracle.is_stale():
-                self._oracle = self.spec.build_oracle(
-                    self.graph, graph_layout=self.graph_layout
-                )
+                self._oracle = self.spec.build_oracle(self.graph)
             return self._oracle
 
     def _ensure_kernel(self, oracle: DistanceOracle):
@@ -640,9 +605,7 @@ class QueryService:
                 from repro.kernels import BallBitsetEngine
 
                 self._kernel = BallBitsetEngine(
-                    oracle,
-                    instruments=self.instruments,
-                    graph_layout=self.graph_layout,
+                    oracle, instruments=self.instruments
                 )
             return self._kernel
 
@@ -685,11 +648,7 @@ class QueryService:
             return served
         self._cache_miss_counter.inc()
         oracle = self._ensure_oracle()
-        options: dict = {
-            "time_budget": time_budget,
-            "node_budget": node_budget,
-            "graph_layout": self.graph_layout,
-        }
+        options: dict = {"time_budget": time_budget, "node_budget": node_budget}
         kernel = self._ensure_kernel(oracle)
         if kernel is not None:
             options["distance_engine"] = "bitset"
@@ -766,7 +725,6 @@ class QueryService:
                         self.spec,
                         self._ensure_oracle(),
                         self.distance_engine,
-                        self.graph_layout,
                     ),
                 )
                 self._pool_graph_version = self.graph.version

@@ -69,22 +69,15 @@ class AlgorithmSpec:
     oracle_kind: str    # "bfs" | "nl" | "nlrnl"
     diversified: bool = False
 
-    def build_oracle(
-        self,
-        graph: AttributedGraph,
-        graph_layout: str = "adjacency",
-    ) -> DistanceOracle:
+    def build_oracle(self, graph: AttributedGraph) -> DistanceOracle:
         if self.oracle_kind == "bfs":
-            return BFSOracle(graph, graph_layout=graph_layout)
+            return BFSOracle(graph)
         if self.oracle_kind == "nl":
-            return NLIndex(graph, graph_layout=graph_layout)
+            return NLIndex(graph)
         if self.oracle_kind == "nlrnl":
-            # NLRNL's incremental-maintenance path rebuilds per-vertex
-            # maps against the live adjacency, so its build keeps the
-            # set-based kernel regardless of layout.
             return NLRNLIndex(graph)
         if self.oracle_kind == "pll":
-            return PLLIndex(graph, graph_layout=graph_layout)
+            return PLLIndex(graph)
         raise ValueError(f"unknown oracle kind {self.oracle_kind!r}")
 
     def build_solver(

@@ -296,7 +296,7 @@ class TestSolveAlias:
                 flag
                 for action in command._actions
                 for flag in action.option_strings
-                if "backend" in flag
+                if "backend" in flag or flag == "--graph-layout"
             ]
             assert not flags, name
 

@@ -1,4 +1,4 @@
-"""CSR snapshot tests: layout, view parity, shared-memory lifecycle.
+"""CSR snapshot tests: structure, view parity, shared-memory lifecycle.
 
 The lifecycle section covers the edge cases the shared-memory protocol
 promises to survive: isolated vertices, version invalidation, double
@@ -16,7 +16,6 @@ from repro.core.csr import (
     adjacency_footprint_bytes,
     counter_totals,
     reset_counters,
-    validate_graph_layout,
 )
 from repro.core.errors import SnapshotAttachError, SnapshotError
 from repro.core.graph import AttributedGraph
@@ -31,16 +30,6 @@ def graph():
         [(0, 1), (1, 2), (0, 2), (3, 4)],
         {0: ["x"], 1: ["y"], 2: ["x", "y"], 3: ["z"], 4: ["x"], 5: ["z"]},
     )
-
-
-class TestLayoutSwitch:
-    def test_accepts_both_layouts(self):
-        assert validate_graph_layout("adjacency") == "adjacency"
-        assert validate_graph_layout("csr") == "csr"
-
-    def test_rejects_unknown_layout(self):
-        with pytest.raises(ValueError, match="graph_layout"):
-            validate_graph_layout("soa")
 
 
 class TestSnapshotStructure:

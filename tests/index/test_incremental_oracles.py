@@ -8,6 +8,11 @@ scratch after *any* mutation stream — and must not report themselves
 stale afterwards.  NLRNL has its own focused suite in
 ``test_updates.py``; this file pins the shared contract across the
 whole family under one randomized stream.
+
+The last test builds every oracle (and a ball engine over it) directly
+on an :class:`~repro.core.epoch.EpochGraphView` whose delta has not been
+rotated into the snapshot yet: a traversal that read the base snapshot
+instead of the view's live adjacency would miss the pending edge.
 """
 
 from __future__ import annotations
@@ -16,10 +21,12 @@ import random
 
 import pytest
 
+from repro.core.epoch import EpochManager
 from repro.index.bfs import BFSOracle
 from repro.index.nl import NLIndex
 from repro.index.nlrnl import NLRNLIndex
 from repro.index.pll import PLLIndex
+from repro.kernels import BallBitsetEngine
 from tests.conftest import make_random_attributed_graph
 
 ORACLES = [
@@ -100,3 +107,32 @@ def test_pll_delete_counts_rebuilds():
     oracle.delete_edge(u, v)
     assert oracle.stats.extra.get("delete_rebuilds") == 1
     assert_matches_fresh_bfs(oracle)
+
+
+@pytest.mark.parametrize("oracle_cls", ORACLES)
+def test_oracle_over_epoch_view_sees_pending_delta(oracle_cls, path_graph):
+    """Path 0-1-2-3-4 plus an un-rotated ``add_edge(0, 4)``: an oracle
+    and a ball engine built over the epoch view answer like a fresh BFS
+    over the live graph, so 4 is one hop from 0."""
+    manager = EpochManager(path_graph, rotate_after=64, max_delta=256)
+    try:
+        manager.add_edge(0, 4)
+        view = manager.view()
+        assert not view.snapshot.view().has_edge(0, 4)  # still in the delta
+        oracle = oracle_cls(view)
+        engine = BallBitsetEngine(oracle)
+        reference = BFSOracle(path_graph)
+        assert oracle.within_k(0, 1) == {1, 4}
+        assert not oracle.is_tenuous(0, 4, 1)
+        assert engine.decode(engine.ball(0, 1)) == {1, 4}
+        for u in path_graph.vertices():
+            for k in (1, 2, 3):
+                ball = reference.within_k(u, k)
+                assert oracle.within_k(u, k) == ball, (u, k)
+                assert engine.decode(engine.ball(u, k)) == ball, (u, k)
+                for v in path_graph.vertices():
+                    tenuous = reference.is_tenuous(u, v, k)
+                    assert oracle.is_tenuous(u, v, k) == tenuous, (u, v, k)
+                    assert engine.is_tenuous(u, v, k) == tenuous, (u, v, k)
+    finally:
+        manager.close()

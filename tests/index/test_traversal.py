@@ -4,7 +4,6 @@ from repro.core.graph import AttributedGraph
 from repro.index._traversal import (
     UNREACHABLE,
     bfs_distance_array,
-    bfs_distance_array_csr,
     bfs_levels,
 )
 
@@ -94,14 +93,3 @@ class TestBfsDistanceArray:
                 assert bounded == [
                     d if 0 <= d <= max_depth else UNREACHABLE for d in full
                 ]
-
-
-class TestBfsDistanceArrayCsr:
-    def test_csr_matches_adjacency(self, figure1):
-        snapshot = figure1.csr_snapshot()
-        adjacency = adjacency_of(figure1)
-        for source in figure1.vertices():
-            for max_depth in (None, 1, 2):
-                assert bfs_distance_array_csr(
-                    snapshot.indptr, snapshot.indices, source, max_depth
-                ) == bfs_distance_array(adjacency, source, max_depth)

@@ -10,9 +10,9 @@ Two contracts, exercised over random graphs and queries:
   the oracle engine, for every strategy, with k-line filtering on or
   off, with budgets on or off.
 * **Backend equivalence** — balls built by the numpy kernels equal the
-  ones built with numpy hidden (``vec._np = None``) on both layouts,
-  and bitset solves on either return identical ranked groups and
-  identical :class:`SearchStats` ledgers, across strategies and pruning
+  ones built with numpy hidden (``vec._np = None``), and bitset solves
+  on either return identical ranked groups and identical
+  :class:`SearchStats` ledgers, across strategies and pruning
   ablations.
 """
 
@@ -101,16 +101,15 @@ def stats_profile(stats):
     graph=attributed_graphs(),
     oracle_index=st.integers(0, len(ORACLES) - 1),
     max_balls=st.sampled_from([0, 3, 8192]),
-    layout=st.sampled_from(["adjacency", "csr"]),
 )
-def test_ball_decodes_to_within_k(graph, oracle_index, max_balls, layout):
+def test_ball_decodes_to_within_k(graph, oracle_index, max_balls):
     oracle = ORACLES[oracle_index](graph)
-    engine = BallBitsetEngine(oracle, max_balls=max_balls, graph_layout=layout)
+    engine = BallBitsetEngine(oracle, max_balls=max_balls)
     for vertex in range(graph.num_vertices):
         for k in (1, 2, 3, 4):
             assert engine.decode(engine.ball(vertex, k)) == oracle.within_k(
                 vertex, k
-            ), (type(oracle).__name__, vertex, k, layout)
+            ), (type(oracle).__name__, vertex, k)
 
 
 @contextlib.contextmanager
@@ -126,17 +125,16 @@ def scalar_kernels():
 @given(graph=attributed_graphs())
 def test_ball_builds_identical_without_numpy(graph):
     """The numpy ball builders and their scalar twins produce identical
-    bitsets on both layouts."""
+    bitsets."""
     keys = [(v, k) for v in range(graph.num_vertices) for k in (1, 2, 3, 4)]
-    for layout in ("adjacency", "csr"):
-        fast = BallBitsetEngine(BFSOracle(graph), graph_layout=layout)
-        fast_balls = [fast.ball(v, k) for v, k in keys]
-        with scalar_kernels():
-            scalar = BallBitsetEngine(BFSOracle(graph), graph_layout=layout)
-            scalar_balls = [scalar.ball(v, k) for v, k in keys]
-        assert (fast.backend, scalar.backend) == ("numpy", "python")
-        assert fast.vec_sweeps > 0 and scalar.vec_sweeps == 0
-        assert scalar_balls == fast_balls, layout
+    fast = BallBitsetEngine(BFSOracle(graph))
+    fast_balls = [fast.ball(v, k) for v, k in keys]
+    with scalar_kernels():
+        scalar = BallBitsetEngine(BFSOracle(graph))
+        scalar_balls = [scalar.ball(v, k) for v, k in keys]
+    assert (fast.backend, scalar.backend) == ("numpy", "python")
+    assert fast.vec_sweeps > 0 and scalar.vec_sweeps == 0
+    assert scalar_balls == fast_balls
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +238,7 @@ def test_solver_backend_bit_identical(graph, query, strategy_index, kline, union
     """Bitset solves with the numpy kernels and with numpy hidden answer
     every configuration with identical ranked groups AND an identical
     SearchStats ledger (on the numpy-absent CI lane both runs are
-    scalar).  ``test_prop_csr.py`` covers the csr layout."""
+    scalar)."""
     _, factory = STRATEGIES[strategy_index]
 
     def run():

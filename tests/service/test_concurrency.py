@@ -198,8 +198,8 @@ class TestLazyInitRaces:
 
     The lazy initializer used to be unsynchronized: two threads could
     both observe "no pool yet", both build one, and the loser's pool
-    leaked (worker threads or processes, and with the CSR layout the
-    /dev/shm snapshot segments too).  The constructors are counted via
+    leaked (worker threads or processes, and any /dev/shm segments
+    they held).  The constructors are counted via
     monkeypatched stand-ins so the tests assert *creations*, not just
     the final pool.
     """
@@ -249,7 +249,7 @@ class TestLazyInitRaces:
         self, monkeypatch
     ):
         # The high-stakes variant: a leaked loser pool would hold worker
-        # processes and (with the CSR layout) /dev/shm snapshot segments.
+        # processes and any /dev/shm segments they attached.
         baseline_shm = set(glob.glob("/dev/shm/psm_*"))
         graph = make_random_attributed_graph(num_vertices=25, seed=7)
         labels = tuple(sorted(graph.keyword_table)[:3])
@@ -272,7 +272,6 @@ class TestLazyInitRaces:
             "KTG-VKC-NLRNL",
             max_workers=2,
             executor="process",
-            graph_layout="csr",
             cache_capacity=0,
         ) as service:
             self._hammer(4, lambda worker: service.run_batch(queries))
