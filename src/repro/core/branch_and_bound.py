@@ -19,7 +19,10 @@ k-line-filters the candidates after ``v`` against ``v`` (Theorem 3),
 re-orders them per the strategy, and recurses.  Keyword pruning
 (Theorem 2) cuts branches whose coverage upper bound cannot beat the
 current top-N threshold ``C_max``; under VKC ordering the candidate list
-is VKC-sorted, so the bound is read off the list head in O(p).
+is VKC-sorted, so the bound is read off the list head in O(p).  Most
+children are cut this way on entry, so without hooks the solver decides
+each child's cut from the parent's order (an upper bound on the child's
+own) and replays the child's entry without re-sorting its candidates.
 
 Both rules can be disabled (``keyword_pruning=False`` /
 ``kline_filtering=False``) for the pruning ablation; with filtering off
@@ -339,24 +342,9 @@ class BranchAndBoundSolver:
         stats: SearchStats,
         remaining_mask: Optional[int] = None,
     ) -> None:
-        stats.nodes_expanded += 1
         hooks = self._hooks
         slots = query.group_size - len(members)
-        if hooks is not None:
-            hooks.node_entered(tuple(members), slots, len(remaining))
-        if self.node_budget is not None and stats.nodes_expanded > self.node_budget:
-            if hooks is not None:
-                hooks.budget_tripped("nodes", tuple(members))
-            raise _BudgetExhausted
-        # Wall-clock checks are amortised: perf_counter every 256 nodes.
-        if (
-            self._deadline is not None
-            and stats.nodes_expanded % 256 == 0
-            and time.perf_counter() > self._deadline
-        ):
-            if hooks is not None:
-                hooks.budget_tripped("time", tuple(members))
-            raise _BudgetExhausted
+        self._enter_node(members, slots, len(remaining), stats)
         if len(remaining) < slots:
             stats.nodes_exhausted += 1
             if hooks is not None:
@@ -401,6 +389,17 @@ class BranchAndBoundSolver:
                 remaining_mask if remaining_mask is not None
                 else kernel.encode(remaining)
             )
+        # Bound before re-sort (see the loop below) needs a VKC-sorted
+        # list and the plain Theorem 2 bound.  Hooked solves take the
+        # full path, so every ``node_pruned`` carries the child's bound.
+        bound_first = (
+            self.keyword_pruning
+            and self.strategy.vkc_descending
+            and not self.use_union_bound
+            and hooks is None
+        )
+        uncovered = ~covered_mask
+        query_size = context.query_size
         for position, vertex in enumerate(remaining):
             tail_len = len(remaining) - position - 1
             if tail_len < slots - 1:
@@ -421,9 +420,7 @@ class BranchAndBoundSolver:
                 if hooks is not None:
                     hooks.candidates_filtered(vertex, tail_len, survivors)
                 if survivors < slots - 1:
-                    members.append(vertex)
-                    self._expand_exhausted(members, slots - 1, survivors, stats)
-                    members.pop()
+                    self._replay_child(members, vertex, slots - 1, survivors, stats)
                     continue
                 rest = remaining[position + 1 :]
                 if survivors != tail_len:
@@ -436,6 +433,25 @@ class BranchAndBoundSolver:
                     hooks.candidates_filtered(vertex, tail_len, len(rest))
             else:
                 rest = remaining[position + 1 :]
+            if len(rest) < slots - 1:
+                self._replay_child(members, vertex, slots - 1, len(rest), stats)
+                continue
+            if bound_first:
+                # Filtering keeps this node's order, so ``rest[:slots-1]``
+                # holds the largest gains in ``rest`` against
+                # ``covered_mask``; against the child's larger
+                # ``new_mask`` every gain can only shrink.  The sum is
+                # therefore >= the bound the child would read off its
+                # re-sorted head, and a child cut here would have been
+                # cut on entry: replay that entry and skip the sort.
+                head_gain = 0
+                for candidate in rest[: slots - 1]:
+                    head_gain += (masks[candidate] & uncovered).bit_count()
+                if (new_mask.bit_count() + head_gain) / query_size <= pool.threshold:
+                    self._replay_child(
+                        members, vertex, slots - 1, len(rest), stats, pruned=True
+                    )
+                    continue
             # Re-sorting is only needed when the covered set actually
             # changed: VKC values are a function of the covered mask, and
             # filtering preserves relative order.
@@ -445,19 +461,16 @@ class BranchAndBoundSolver:
             self._search(members, new_mask, rest, query, context, pool, stats, rest_mask)
             members.pop()
 
-    def _expand_exhausted(
+    def _enter_node(
         self,
         members: list[int],
         slots: int,
         count: int,
         stats: SearchStats,
     ) -> None:
-        """Stats- and hook-faithful replay of a child :meth:`_search`
-        that would exhaust immediately (*count* candidates for *slots*
-        open seats), letting the caller skip materialising the child's
-        candidate list.  Must mirror the ``_search`` prologue exactly —
-        both engines have to produce identical stats and hook streams.
-        """
+        """Prologue of every search node, entered or replayed: count it,
+        announce it (*count* candidates for *slots* open seats) and
+        enforce the node and time budgets."""
         stats.nodes_expanded += 1
         hooks = self._hooks
         if hooks is not None:
@@ -466,6 +479,7 @@ class BranchAndBoundSolver:
             if hooks is not None:
                 hooks.budget_tripped("nodes", tuple(members))
             raise _BudgetExhausted
+        # Wall-clock checks are amortised: perf_counter every 256 nodes.
         if (
             self._deadline is not None
             and stats.nodes_expanded % 256 == 0
@@ -474,9 +488,37 @@ class BranchAndBoundSolver:
             if hooks is not None:
                 hooks.budget_tripped("time", tuple(members))
             raise _BudgetExhausted
-        stats.nodes_exhausted += 1
-        if hooks is not None:
-            hooks.node_exhausted(tuple(members))
+
+    def _replay_child(
+        self,
+        members: list[int],
+        vertex: int,
+        slots: int,
+        count: int,
+        stats: SearchStats,
+        pruned: bool = False,
+    ) -> None:
+        """Stats- and hook-faithful replay of the child :meth:`_search`
+        that adds *vertex*, for a child whose outcome the caller already
+        knows, so its candidate list is never materialised or re-sorted.
+
+        With *pruned* false the child exhausts (*count* candidates for
+        *slots* open seats).  With *pruned* true keyword pruning cuts
+        it on entry; the caller decides that only when no hooks are
+        attached, because the child's own bound (a ``node_pruned``
+        payload) is never computed.
+        """
+        members.append(vertex)
+        self._enter_node(members, slots, count, stats)
+        if pruned:
+            stats.keyword_prunes += 1
+            stats.node_prunes += 1
+        else:
+            stats.nodes_exhausted += 1
+            hooks = self._hooks
+            if hooks is not None:
+                hooks.node_exhausted(tuple(members))
+        members.pop()
 
     def _complete_groups(
         self,

@@ -11,9 +11,10 @@ A :class:`KTGQuery` is the 4-tuple ``<W_Q, p, k, N>`` of the paper:
 :class:`DKTGQuery` adds the diversification weight ``gamma`` from
 Equation (4): ``score(RG) = gamma * min QKC(g) + (1-gamma) * dL(RG)``.
 
-Both are frozen dataclasses: queries are values, safe to hash, reuse and
-log.  Validation happens in ``__post_init__`` so an invalid query can
-never be constructed.
+Both are frozen, slotted dataclasses: queries are values, safe to hash,
+reuse and log, and a retained query carries no per-instance ``__dict__``.
+Validation happens in ``__post_init__`` so an invalid query can never be
+constructed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _CONTEXTS: "weakref.WeakValueDictionary[tuple, CoverageContext]" = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KTGQuery:
     """A keyword-based tenuous group query ``<W_Q, p, k, N>``.
 
@@ -131,7 +132,7 @@ class KTGQuery:
         return "KTG<" + ", ".join(parts) + ">"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DKTGQuery(KTGQuery):
     """A diversified KTG query (Definition 10).
 
@@ -142,7 +143,9 @@ class DKTGQuery(KTGQuery):
     gamma: float = 0.5
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        # Explicit base call: ``slots=True`` rebuilds the class, which
+        # breaks zero-argument ``super()`` before Python 3.14.
+        KTGQuery.__post_init__(self)
         if not 0.0 <= self.gamma <= 1.0:
             raise QueryValidationError(
                 f"gamma must be within [0, 1], got {self.gamma}"
@@ -159,4 +162,4 @@ class DKTGQuery(KTGQuery):
         )
 
     def describe(self) -> str:
-        return super().describe().replace("KTG<", "DKTG<", 1)[:-1] + f", gamma={self.gamma}>"
+        return KTGQuery.describe(self).replace("KTG<", "DKTG<", 1)[:-1] + f", gamma={self.gamma}>"

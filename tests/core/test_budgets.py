@@ -6,6 +6,8 @@ from repro.core.branch_and_bound import BranchAndBoundSolver
 from repro.core.coverage import CoverageContext
 from repro.core.graph import AttributedGraph
 from repro.core.query import KTGQuery
+from repro.core.strategies import VKCOrdering
+from repro.obs.hooks import SolverHooks
 from tests.conftest import make_random_attributed_graph
 
 
@@ -64,6 +66,53 @@ class TestNodeBudget:
         roomy = BranchAndBoundSolver(graph, node_budget=10_000_000).solve(query)
         assert roomy.is_exact
         assert [g.coverage for g in roomy.groups] == [g.coverage for g in exact.groups]
+
+
+class _CountingVKC(VKCOrdering):
+    """VKC ordering that counts its re-sorts."""
+
+    def __init__(self) -> None:
+        self.reorders = 0
+
+    def reorder(self, candidates, covered_mask, context):
+        self.reorders += 1
+        return super().reorder(candidates, covered_mask, context)
+
+
+class TestReplayedChildren:
+    """Children decided without being built (exhausted before their list
+    exists, or keyword-pruned before their re-sort) are replayed through
+    the same prologue as entered nodes.  The hooked solve builds every
+    child, so a budget must trip at the same node either way."""
+
+    @pytest.mark.parametrize("engine", ["oracle", "bitset"])
+    def test_budget_trips_at_the_same_node(self, setting, engine):
+        graph, query = setting
+        for node_budget in range(1, 61):
+            solver = BranchAndBoundSolver(
+                graph, distance_engine=engine, node_budget=node_budget
+            )
+            fast = solver.solve(query)
+            full = solver.solve(query, hooks=SolverHooks())
+            assert fast.stats.budget_exhausted == full.stats.budget_exhausted
+            assert fast.stats.nodes_expanded == full.stats.nodes_expanded
+            assert fast.stats.node_prunes == full.stats.node_prunes
+            assert fast.groups == full.groups
+
+    def test_pruned_children_skip_their_resort(self, setting):
+        """Most children of this query are cut on entry; unhooked, they
+        are decided before their re-sort, with identical counters."""
+        graph, query = setting
+        strategy = _CountingVKC()
+        solver = BranchAndBoundSolver(graph, strategy=strategy)
+        fast = solver.solve(query)
+        fast_reorders, strategy.reorders = strategy.reorders, 0
+        full = solver.solve(query, hooks=SolverHooks())
+        assert fast.stats.node_prunes > fast.stats.nodes_expanded // 2
+        assert fast_reorders < strategy.reorders // 2
+        assert fast.groups == full.groups
+        assert fast.stats.node_prunes == full.stats.node_prunes
+        assert fast.stats.nodes_expanded == full.stats.nodes_expanded
 
 
 class TestLeafScanDeadline:

@@ -141,5 +141,63 @@ class TestCachedContext:
         keep = query.cached_context(graph)
         clone = pickle.loads(pickle.dumps(query))
         assert clone == query
-        assert "_context_memo" not in clone.__dict__
+        assert not hasattr(clone, "__dict__")
         assert keep is not None
+
+
+class TestSlottedQueries:
+    """Queries are frozen, slotted values: no per-instance ``__dict__``,
+    and pickling, ``with_``/``replace``, hashing and equality behave as
+    they did for plain frozen dataclasses."""
+
+    KTG = KTGQuery(
+        keywords=("a", "b"), group_size=4, tenuity=1, top_n=2, excluded_anchors=(3, 5)
+    )
+    DKTG = DKTGQuery(keywords=("a", "b"), group_size=4, tenuity=1, top_n=2, gamma=0.25)
+
+    @pytest.mark.parametrize("query", [KTG, DKTG], ids=["ktg", "dktg"])
+    def test_no_instance_dict(self, query):
+        assert not hasattr(query, "__dict__")
+        with pytest.raises(AttributeError):
+            object.__setattr__(query, "extra", 1)
+
+    @pytest.mark.parametrize("query", [KTG, DKTG], ids=["ktg", "dktg"])
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, query, protocol):
+        clone = pickle.loads(pickle.dumps(query, protocol=protocol))
+        assert type(clone) is type(query)
+        assert clone == query
+        assert hash(clone) == hash(query)
+        assert clone.describe() == query.describe()
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            self.KTG.top_n = 5  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            self.DKTG.gamma = 0.1  # type: ignore[misc]
+
+    def test_with_and_replace(self):
+        from dataclasses import replace
+
+        assert self.KTG.with_(top_n=7) == replace(self.KTG, top_n=7)
+        changed = self.DKTG.with_(gamma=0.75, tenuity=3)
+        assert isinstance(changed, DKTGQuery)
+        assert (changed.gamma, changed.tenuity) == (0.75, 3)
+        assert changed.keywords == self.DKTG.keywords
+        with pytest.raises(QueryValidationError):
+            self.DKTG.with_(gamma=2.0)
+
+    def test_base_query(self):
+        base = self.DKTG.base_query()
+        assert type(base) is KTGQuery
+        assert base == KTGQuery(keywords=("a", "b"), group_size=4, tenuity=1, top_n=2)
+
+    def test_hash_and_equality_by_value(self):
+        twin = KTGQuery(
+            keywords=["a", "b"], group_size=4, tenuity=1, top_n=2, excluded_anchors=[3, 5]
+        )
+        assert twin == self.KTG and hash(twin) == hash(self.KTG)
+        assert len({self.KTG, twin, self.KTG.with_(top_n=3)}) == 2
+        # A DKTG query never equals its KTG base (dataclass eq compares
+        # classes), so both can share one cache without colliding.
+        assert self.DKTG != self.DKTG.base_query()
