@@ -20,9 +20,11 @@ re-orders them per the strategy, and recurses.  Keyword pruning
 (Theorem 2) cuts branches whose coverage upper bound cannot beat the
 current top-N threshold ``C_max``; under VKC ordering the candidate list
 is VKC-sorted, so the bound is read off the list head in O(p).  Most
-children are cut this way on entry, so without hooks the solver decides
-each child's cut from the parent's order (an upper bound on the child's
-own) and replays the child's entry without re-sorting its candidates.
+children are cut this way on entry, so the solver decides each child's
+cut from the parent's order (an upper bound on the child's own) before
+filtering its candidates, and replays the child's entry instead; since
+that bound never grows along the list, the first cut child ends the
+loop and the rest of the list is replayed in one step.
 
 Both rules can be disabled (``keyword_pruning=False`` /
 ``kline_filtering=False``) for the pruning ablation; with filtering off
@@ -32,9 +34,10 @@ reaches size ``p``, which preserves exactness.
 
 from __future__ import annotations
 
+import struct
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -103,20 +106,134 @@ class SearchStats:
     leaf_prunes: int = 0
     union_prunes: int = 0
 
+    def __reduce__(self):
+        # Explicit, so protocols 0 and 1 work too (slots have no dict).
+        return (SearchStats, tuple(getattr(self, name) for name in self.__slots__))
 
-@dataclass(frozen=True, slots=True)
+
+#: The integer fields of a :class:`SearchStats` in a packed result, in
+#: order; ``first_feasible_node`` is stored plus one (0 for ``None``).
+_STATS_INTS = (
+    "first_feasible_node",
+    "nodes_expanded",
+    "feasible_groups",
+    "keyword_prunes",
+    "kline_removed",
+    "offers_accepted",
+    "nodes_interior",
+    "nodes_completed",
+    "nodes_exhausted",
+    "node_prunes",
+    "leaf_prunes",
+    "union_prunes",
+)
+#: Stats layout per integer code: elapsed seconds, the budget flag, then
+#: the integer fields.
+_STATS_LAYOUTS = {code: struct.Struct(f"<d?{len(_STATS_INTS)}{code}") for code in "HIq"}
+#: Head of one packed group: its coverage and member count.
+_GROUP_HEAD = struct.Struct("<dH")
+
+
+def _int_code(values: Sequence[int]) -> str:
+    """The narrowest struct code that holds every one of *values*."""
+    if min(values, default=0) < 0:
+        return "q"
+    top = max(values, default=0)
+    return "H" if top < 1 << 16 else "I" if top < 1 << 32 else "q"
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class KTGResult:
-    """Outcome of one KTG query: the top-N groups plus instrumentation."""
+    """Outcome of one KTG query: the top-N groups plus instrumentation.
+
+    Served results stay alive in caches and audit logs, so the groups
+    and the stats are stored packed in one ``bytes`` record, instead of
+    a tuple of :class:`Group` objects that each own a member tuple and a
+    :class:`SearchStats` that owns its counters.  The record is two
+    struct codes (one for the stats' integers, one for the members, each
+    the narrowest that fits), the stats, then per group its coverage,
+    size and members.  ``groups`` and ``stats`` are init arguments
+    (``dataclasses.replace(result, groups=...)`` works) and read back as
+    a tuple of :class:`Group` and a :class:`SearchStats`, rebuilt on
+    each read: mutating a read-back ``stats`` does not change the
+    result.  The one exception is a hooked solve's result, which keeps
+    and returns the very :class:`SearchStats` its hooks were given.
+    Equality and hashing take the query, the algorithm and the groups,
+    not the stats.
+    """
 
     query: KTGQuery
     algorithm: str
-    groups: tuple[Group, ...]
-    stats: SearchStats = field(compare=False, default_factory=SearchStats)
+    groups: InitVar[Sequence[Group]] = ()
+    stats: InitVar[Optional[SearchStats]] = None
+    _packed: bytes = field(init=False)
+    _hooked_stats: Optional[SearchStats] = field(default=None, init=False, compare=False)
+
+    def __post_init__(self, groups: Sequence[Group], stats: Optional[SearchStats]) -> None:
+        if stats is None:
+            stats = SearchStats()
+        first = stats.first_feasible_node
+        ints = [0 if first is None else first + 1]
+        ints.extend(getattr(stats, name) for name in _STATS_INTS[1:])
+        members = [member for group in groups for member in group.members]
+        stats_code, member_code = _int_code(ints), _int_code(members)
+        parts = [
+            (stats_code + member_code).encode(),
+            _STATS_LAYOUTS[stats_code].pack(stats.elapsed_seconds, stats.budget_exhausted, *ints),
+        ]
+        for group in groups:
+            size = len(group.members)
+            parts.append(_GROUP_HEAD.pack(group.coverage, size))
+            parts.append(struct.pack(f"<{size}{member_code}", *group.members))
+        object.__setattr__(self, "_packed", b"".join(parts))
+
+    def _groups_start(self) -> int:
+        return 2 + _STATS_LAYOUTS[chr(self._packed[0])].size
+
+    def _unpack_groups(self) -> tuple[Group, ...]:
+        packed = self._packed
+        code = chr(packed[1])
+        width = struct.calcsize(code)
+        groups = []
+        offset = self._groups_start()
+        while offset < len(packed):
+            coverage, size = _GROUP_HEAD.unpack_from(packed, offset)
+            offset += _GROUP_HEAD.size
+            groups.append(Group(coverage, struct.unpack_from(f"<{size}{code}", packed, offset)))
+            offset += size * width
+        return tuple(groups)
+
+    def _unpack_stats(self) -> SearchStats:
+        if self._hooked_stats is not None:
+            return self._hooked_stats
+        layout = _STATS_LAYOUTS[chr(self._packed[0])]
+        elapsed, exhausted, first, *counters = layout.unpack_from(self._packed, 2)
+        stats = SearchStats(
+            elapsed_seconds=elapsed,
+            budget_exhausted=exhausted,
+            first_feasible_node=first - 1 if first else None,
+        )
+        for name, value in zip(_STATS_INTS[1:], counters):
+            setattr(stats, name, value)
+        return stats
+
+    def _identity(self) -> tuple:
+        packed = self._packed
+        return (self.query, self.algorithm, packed[1:2] + packed[self._groups_start() :])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     @property
     def best_coverage(self) -> float:
         """Coverage of the best group (0.0 when no group was found)."""
-        return self.groups[0].coverage if self.groups else 0.0
+        start = self._groups_start()
+        return _GROUP_HEAD.unpack_from(self._packed, start)[0] if len(self._packed) > start else 0.0
 
     @property
     def is_exact(self) -> bool:
@@ -127,12 +244,33 @@ class KTGResult:
         """Member tuples of the result groups, best first."""
         return [group.members for group in self.groups]
 
+    def __reduce__(self):
+        # Explicit, so every pickle protocol works (slots have no dict).
+        return (KTGResult, (self.query, self.algorithm, self.groups, self.stats))
+
+    def __repr__(self) -> str:
+        return (
+            f"KTGResult(query={self.query!r}, algorithm={self.algorithm!r}, "
+            f"groups={self.groups!r}, stats={self.stats!r})"
+        )
+
     def __str__(self) -> str:
+        groups = self.groups
         lines = [f"{self.algorithm} for {self.query.describe()}:"]
-        lines.extend(f"  {rank}. {group}" for rank, group in enumerate(self.groups, 1))
-        if not self.groups:
+        lines.extend(f"  {rank}. {group}" for rank, group in enumerate(groups, 1))
+        if not groups:
             lines.append("  (no feasible group)")
         return "\n".join(lines)
+
+
+# Attached after the decorator ran: declared in the class body, a
+# property would become its init argument's default.
+KTGResult.groups = property(  # type: ignore[assignment]
+    KTGResult._unpack_groups, doc="The top-N groups, best first."
+)
+KTGResult.stats = property(  # type: ignore[assignment]
+    KTGResult._unpack_stats, doc="The search's instrumentation."
+)
 
 
 class BranchAndBoundSolver:
@@ -290,12 +428,15 @@ class BranchAndBoundSolver:
         stats.elapsed_seconds = time.perf_counter() - started
         if hooks is not None:
             hooks.search_finished(stats)
-        return KTGResult(
+        result = KTGResult(
             query=query,
             algorithm=self.algorithm_name,
             groups=tuple(pool.best()),
             stats=stats,
         )
+        if hooks is not None:
+            object.__setattr__(result, "_hooked_stats", stats)
+        return result
 
     # ------------------------------------------------------------------
     def _initial_candidates(
@@ -389,21 +530,52 @@ class BranchAndBoundSolver:
                 remaining_mask if remaining_mask is not None
                 else kernel.encode(remaining)
             )
-        # Bound before re-sort (see the loop below) needs a VKC-sorted
-        # list and the plain Theorem 2 bound.  Hooked solves take the
-        # full path, so every ``node_pruned`` carries the child's bound.
+        # Bound before filter and bound before re-sort (see the loop
+        # below) need a VKC-sorted list and the plain Theorem 2 bound.
         bound_first = (
             self.keyword_pruning
             and self.strategy.vkc_descending
             and not self.use_union_bound
-            and hooks is None
         )
         uncovered = ~covered_mask
         query_size = context.query_size
+        covered_bits = covered_mask.bit_count()
+        window = 0
+        if bound_first:
+            # Gains of ``remaining[position + 1 : position + slots]``, the
+            # window of the child that adds ``remaining[position]``.
+            for candidate in remaining[1:slots]:
+                window += (masks[candidate] & uncovered).bit_count()
         for position, vertex in enumerate(remaining):
             tail_len = len(remaining) - position - 1
             if tail_len < slots - 1:
                 break
+            if bound_first:
+                # Bound before filter: the child's candidates are a
+                # subset of the tail after ``vertex``, whose slots-1
+                # largest gains against ``covered_mask`` form the window,
+                # and against the child's larger mask every gain can only
+                # shrink, so this is >= the bound the child would compute
+                # after filtering and re-sorting.  Along the list it never grows (the window
+                # slides over non-increasing gains) while C_max never
+                # falls, so the first cut child proves every later one
+                # cut too.  Unhooked, replay that whole suffix at once
+                # and stop; hooked, replay each child with its own bound.
+                gain = (masks[vertex] & uncovered).bit_count()
+                if position:
+                    window += (
+                        masks[remaining[position + slots - 1]] & uncovered
+                    ).bit_count() - gain
+                bound = (covered_bits + gain + window) / query_size
+                if bound <= pool.threshold:
+                    if hooks is None:
+                        cut = len(remaining) - slots - position + 1
+                        self._replay_pruned_run(cut, stats)
+                        break
+                    self._replay_pruned(
+                        members, vertex, slots - 1, tail_len, bound, pool, stats
+                    )
+                    continue
             new_mask = covered_mask | masks[vertex]
             rest_mask: Optional[int] = None
             if self.kline_filtering and kernel is not None:
@@ -437,19 +609,20 @@ class BranchAndBoundSolver:
                 self._replay_child(members, vertex, slots - 1, len(rest), stats)
                 continue
             if bound_first:
-                # Filtering keeps this node's order, so ``rest[:slots-1]``
-                # holds the largest gains in ``rest`` against
-                # ``covered_mask``; against the child's larger
-                # ``new_mask`` every gain can only shrink.  The sum is
-                # therefore >= the bound the child would read off its
-                # re-sorted head, and a child cut here would have been
-                # cut on entry: replay that entry and skip the sort.
+                # Bound before re-sort: filtering keeps this node's
+                # order, so ``rest[:slots-1]`` holds the largest gains in
+                # ``rest`` against ``covered_mask``.  The filter may
+                # have dropped the window's best candidates, so this
+                # cuts children the window could not; a child cut here
+                # would have been cut on entry, so replay that entry and
+                # skip the sort.
                 head_gain = 0
                 for candidate in rest[: slots - 1]:
                     head_gain += (masks[candidate] & uncovered).bit_count()
-                if (new_mask.bit_count() + head_gain) / query_size <= pool.threshold:
-                    self._replay_child(
-                        members, vertex, slots - 1, len(rest), stats, pruned=True
+                bound = (new_mask.bit_count() + head_gain) / query_size
+                if bound <= pool.threshold:
+                    self._replay_pruned(
+                        members, vertex, slots - 1, len(rest), bound, pool, stats
                     )
                     continue
             # Re-sorting is only needed when the covered set actually
@@ -496,29 +669,69 @@ class BranchAndBoundSolver:
         slots: int,
         count: int,
         stats: SearchStats,
-        pruned: bool = False,
     ) -> None:
         """Stats- and hook-faithful replay of the child :meth:`_search`
-        that adds *vertex*, for a child whose outcome the caller already
-        knows, so its candidate list is never materialised or re-sorted.
-
-        With *pruned* false the child exhausts (*count* candidates for
-        *slots* open seats).  With *pruned* true keyword pruning cuts
-        it on entry; the caller decides that only when no hooks are
-        attached, because the child's own bound (a ``node_pruned``
-        payload) is never computed.
-        """
+        that adds *vertex*, for a child the caller already knows will
+        exhaust (*count* candidates for *slots* open seats), so its
+        candidate list is never materialised or re-sorted."""
         members.append(vertex)
         self._enter_node(members, slots, count, stats)
-        if pruned:
-            stats.keyword_prunes += 1
-            stats.node_prunes += 1
-        else:
-            stats.nodes_exhausted += 1
-            hooks = self._hooks
-            if hooks is not None:
-                hooks.node_exhausted(tuple(members))
+        stats.nodes_exhausted += 1
+        hooks = self._hooks
+        if hooks is not None:
+            hooks.node_exhausted(tuple(members))
         members.pop()
+
+    def _replay_pruned(
+        self,
+        members: list[int],
+        vertex: int,
+        slots: int,
+        count: int,
+        bound: float,
+        pool: TopNPool,
+        stats: SearchStats,
+    ) -> None:
+        """Like :meth:`_replay_child`, for a child keyword pruning cuts
+        on entry; *bound* is the caller's admissible bound on it, the
+        ``node_pruned`` payload."""
+        members.append(vertex)
+        self._enter_node(members, slots, count, stats)
+        stats.keyword_prunes += 1
+        stats.node_prunes += 1
+        hooks = self._hooks
+        if hooks is not None:
+            hooks.node_pruned(tuple(members), "keyword", bound, pool.threshold)
+        members.pop()
+
+    def _replay_pruned_run(self, count: int, stats: SearchStats) -> None:
+        """Unhooked replay of *count* consecutive children that keyword
+        pruning cuts on entry, in one arithmetic step.  Budgets trip
+        where per-child replay would: the node budget exactly, the clock
+        read once, tripping at the first multiple of 256 in the run.
+        """
+        start = stats.nodes_expanded
+        end = start + count
+        trip = None
+        if self.node_budget is not None and end > self.node_budget:
+            trip = self.node_budget + 1
+        if self._deadline is not None:
+            check = (start // 256 + 1) * 256
+            if (
+                check <= end
+                and (trip is None or check < trip)
+                and time.perf_counter() > self._deadline
+            ):
+                trip = check
+        if trip is not None:
+            # The tripping node is counted but left unclassified.
+            stats.keyword_prunes += trip - start - 1
+            stats.node_prunes += trip - start - 1
+            stats.nodes_expanded = trip
+            raise _BudgetExhausted
+        stats.keyword_prunes += end - start
+        stats.node_prunes += end - start
+        stats.nodes_expanded = end
 
     def _complete_groups(
         self,

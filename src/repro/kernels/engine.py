@@ -106,8 +106,10 @@ class BallBitsetEngine:
             raise ValueError(f"max_balls must be >= 0, got {max_balls}")
         self.oracle = oracle
         self.max_balls = max_balls
-        #: "numpy" when the vectorized kernels are importable, else "python".
-        self.backend = "numpy" if vec.numpy_available() else "python"
+        #: "numpy" when the vectorized kernels are importable, else
+        #: "python".  Resolving it imports numpy; a numpy that fails to
+        #: import leaves the engine on the scalar path.
+        self.backend = "numpy" if vec.numpy_or_none() is not None else "python"
         self._balls: OrderedDict[tuple[int, int], int] = OrderedDict()
         self._version = oracle.graph.version
         self._lock = threading.Lock()

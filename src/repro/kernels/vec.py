@@ -13,15 +13,19 @@ two bulk conversions it needs:
 
 numpy stays an *optional* dependency with no setting: the engine uses
 these kernels whenever numpy is importable and its pure-python twins
-otherwise.  The resolved numpy module is cached in the module-global
-``_np`` so tests can simulate a numpy-absent environment by
-monkeypatching it to ``None`` — no uninstall needed.  Both paths are
+otherwise.  numpy is imported on first use (a ball engine's
+construction or a kernel call), never by importing this module or by
+:func:`numpy_available`, so processes that run no kernel never load
+it.  The resolved numpy module is cached in the module-global ``_np``
+so tests can simulate a numpy-absent environment by monkeypatching it
+to ``None`` — no uninstall needed.  Both paths are
 bit-identical by construction: the packed bitsets use the same
 little-endian weight ``1 << v`` per vertex.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Any, Iterable
 
 __all__ = [
@@ -39,7 +43,8 @@ _np: Any = _UNRESOLVED
 
 
 def numpy_or_none() -> Any:
-    """The numpy module if importable, else ``None`` (cached)."""
+    """The numpy module if importable, else ``None`` (cached).  The
+    first call imports numpy."""
     global _np
     if _np is _UNRESOLVED:
         try:
@@ -52,7 +57,12 @@ def numpy_or_none() -> Any:
 
 
 def numpy_available() -> bool:
-    return numpy_or_none() is not None
+    """Whether numpy is installed, answered without importing it (until
+    :func:`numpy_or_none` has resolved it, this only finds the module;
+    an installed numpy that fails to import reads False afterwards)."""
+    if _np is _UNRESOLVED:
+        return importlib.util.find_spec("numpy") is not None
+    return _np is not None
 
 
 def resolve_kernel_backend(choice: str = "auto") -> str:
@@ -72,7 +82,7 @@ def _require_numpy() -> Any:
     if np is None:
         raise ImportError(
             "the vectorized kernels need numpy, which is not importable; "
-            "check numpy_available() before calling into repro.kernels.vec"
+            "check numpy_or_none() before calling into repro.kernels.vec"
         )
     return np
 

@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.core.dktg import DKTGResult
 from repro.core.branch_and_bound import KTGResult
@@ -56,6 +55,9 @@ from repro.workloads.runner import (
     AlgorithmSpec,
     percentile_nearest_rank,
 )
+
+if TYPE_CHECKING:  # executors are imported when a pool is first built
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 __all__ = ["QueryService", "ServiceResult", "ServiceStats"]
 
@@ -687,6 +689,10 @@ class QueryService:
     def _thread_pool(self) -> ThreadPoolExecutor:
         # Lazy init is serialized: racing run_batch calls must share one
         # pool (the loser of an unsynchronized race leaked its threads).
+        # Executors are imported here, not at module level, so a service
+        # that never fans out never loads them.
+        from concurrent.futures import ThreadPoolExecutor
+
         with self._pool_lock:
             if self._pool is not None and not isinstance(
                 self._pool, ThreadPoolExecutor
@@ -706,6 +712,8 @@ class QueryService:
         # recycled whenever the version moved.  Same race rules as
         # _thread_pool, with higher stakes: a leaked duplicate process
         # pool holds worker processes and /dev/shm segments.
+        from concurrent.futures import ProcessPoolExecutor
+
         with self._pool_lock:
             recycle = (
                 self._pool is not None
@@ -779,6 +787,8 @@ class QueryService:
                     _process_solve, queries[position], time_budget, node_budget
                 )
                 future_position[future] = position
+            from concurrent.futures import as_completed
+
             for future in as_completed(future_position):
                 position = future_position[future]
                 result, solve_ms = future.result()

@@ -207,6 +207,39 @@ class TestStatsCommand:
         assert "instrument counters" in out
         assert "solver.nodes_entered" in out
 
+    def test_solve_report_counts_the_served_search(self, monkeypatch, capsys):
+        """The hooked solve behind the report runs the search the service
+        serves: same groups and every search counter but the wall time."""
+        from dataclasses import replace
+
+        from repro.core.query import KTGQuery
+        from repro.datasets.registry import load_dataset
+        from repro.obs import report
+        from repro.service import QueryService
+
+        reported = []
+        solve_report = report.solve_report
+
+        def recording(result, **kwargs):
+            reported.append(result)
+            return solve_report(result, **kwargs)
+
+        monkeypatch.setattr(report, "solve_report", recording)
+        argv = ["stats", "brightkite", "--scale", "0.1", "--keywords", "kw000,kw001,kw002"]
+        assert main([*argv, "-p", "3", "-k", "2", "-n", "2"]) == 0
+        capsys.readouterr()
+        graph, _ = load_dataset("brightkite", scale=0.1)
+        query = KTGQuery(
+            keywords=("kw000", "kw001", "kw002"), group_size=3, tenuity=2, top_n=2
+        )
+        served = QueryService(graph).submit(query).result
+        (hooked,) = reported
+        assert hooked.stats.node_prunes > 100
+        assert hooked.groups == served.groups
+        assert replace(hooked.stats, elapsed_seconds=0.0) == replace(
+            served.stats, elapsed_seconds=0.0
+        )
+
     def test_solve_report_algorithm_flag(self, capsys):
         code = main(
             [

@@ -20,7 +20,7 @@ from repro.obs.instruments import InstrumentRegistry
 from tests.conftest import make_random_attributed_graph
 
 needs_numpy = pytest.mark.skipif(
-    not vec.numpy_available(), reason="numpy not importable"
+    vec.numpy_or_none() is None, reason="numpy not importable"
 )
 
 

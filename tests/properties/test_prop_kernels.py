@@ -120,7 +120,7 @@ def scalar_kernels():
         yield
 
 
-@pytest.mark.skipif(not vec.numpy_available(), reason="numpy not importable")
+@pytest.mark.skipif(vec.numpy_or_none() is None, reason="numpy not importable")
 @settings(max_examples=30, deadline=None)
 @given(graph=attributed_graphs())
 def test_ball_builds_identical_without_numpy(graph):

@@ -8,13 +8,13 @@ built worker pool (the unsynchronized race used to leak whole process
 pools and their /dev/shm segments).
 """
 
+import concurrent.futures
 import glob
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
-import repro.service.service as service_module
 from repro.core.query import KTGQuery
 from repro.index.bfs import BFSOracle
 from repro.index.nl import NLIndex
@@ -238,8 +238,9 @@ class TestLazyInitRaces:
                 created.append(self)
                 super().__init__(*args, **kwargs)
 
+        # The service imports its executors when it builds a pool.
         monkeypatch.setattr(
-            service_module, "ThreadPoolExecutor", CountingThreadPool
+            concurrent.futures, "ThreadPoolExecutor", CountingThreadPool
         )
         with QueryService(graph, "KTG-VKC-NLRNL", max_workers=2) as service:
             self._hammer(8, lambda worker: service.run_batch(queries))
@@ -265,7 +266,7 @@ class TestLazyInitRaces:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(
-            service_module, "ProcessPoolExecutor", CountingProcessPool
+            concurrent.futures, "ProcessPoolExecutor", CountingProcessPool
         )
         with QueryService(
             graph,
