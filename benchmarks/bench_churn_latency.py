@@ -1,23 +1,23 @@
 """Churn latency — query p50/p95 while edges stream into the graph.
 
-The operational claim behind the epoch machinery
+The operational claim behind the mutation gate
 (:mod:`repro.core.epoch`): a serving deployment should not have to
-choose between answering queries and accepting graph mutations.  Edits
-are delta-buffered against the current CSR snapshot, indexes are
-repaired incrementally, and snapshot rotation compacts the delta in the
-background — so query latency under a mutation stream must stay within
-a small constant of the no-churn latency, with zero failed requests.
+choose between answering queries and accepting graph mutations.  Each
+edit waits for in-flight solves and repairs the index incrementally,
+so query latency under a mutation stream must stay within a small
+constant of the no-churn latency, with zero failed requests.
 
 Two phases over identical fresh-graph copies and the same workload:
 
-* **no-churn** — a read-only :class:`QueryService` serves the workload;
-* **churn** — an epoch-mode service serves the same workload while a
-  deterministic stream of edge flips lands between queries, forcing at
-  least three epoch rotations along the way.
+* **no-churn** — a read-only :class:`QueryService` over a prebuilt
+  oracle serves the workload;
+* **churn** — a ``mutations=True`` service over a prebuilt oracle
+  serves the same workload while a deterministic stream of edge flips
+  lands between queries, so every flip is an incremental repair.
 
 Acceptance: churn p95 <= 2x no-churn p95 (soft under ``--smoke``),
-zero failed requests, >= 3 rotations.  Caching is disabled in both
-phases so every latency sample is a real solve.
+zero failed requests, repairs > 0.  Caching is disabled in both phases
+so every latency sample is a real solve.
 """
 
 from __future__ import annotations
@@ -29,21 +29,12 @@ from conftest import bench_dataset, bench_workload, check_claim, register_bench_
 register_bench_meta("churn_latency", title="query latency under streaming mutations")
 from repro.core.graph import AttributedGraph
 from repro.service import QueryService
+from repro.workloads.runner import ALGORITHMS
 
 ALGORITHM = "KTG-VKC-DEG-NLRNL"
 QUERIES = 18
 #: Edge flips applied between consecutive queries in the churn phase.
 MUTATIONS_PER_QUERY = 4
-
-
-def _rotate_after(total_mutations: int) -> int:
-    """Threshold sized so the stream always drives >= 4 rotations.
-
-    ``--smoke`` truncates the workload to a single query (4 mutations),
-    so the threshold must scale with the actual stream length rather
-    than assume the full 18-query run.
-    """
-    return max(1, total_mutations // 4)
 
 
 def _fresh_graph():
@@ -76,11 +67,16 @@ def _mutation_stream(seed: int):
 
 def test_latency_under_streaming_edges(benchmark):
     workload = list(bench_workload("brightkite", count=QUERIES, keyword_size=4))
-    rotate_after = _rotate_after(len(workload) * MUTATIONS_PER_QUERY)
 
-    # Phase 1 (untimed): the no-churn baseline percentiles.
+    # Phase 1 (untimed): the no-churn baseline percentiles.  Both phases
+    # build their oracle before the first query, so no latency sample
+    # includes an index build.
+    quiet_graph = _fresh_graph()
     with QueryService(
-        _fresh_graph(), ALGORITHM, cache_capacity=0
+        quiet_graph,
+        ALGORITHM,
+        oracle=ALGORITHMS[ALGORITHM].build_oracle(quiet_graph),
+        cache_capacity=0,
     ) as quiet_service:
         quiet_failures = _serve_all(quiet_service, workload)
         quiet_stats = quiet_service.stats()
@@ -91,14 +87,15 @@ def test_latency_under_streaming_edges(benchmark):
         rng = _mutation_stream(seed=0)
         n = graph.num_vertices
         failures = 0
+        # Built up front, so the flips before the first query (all of
+        # them under --smoke, which keeps one query) are repairs too.
+        oracle = ALGORITHMS[ALGORITHM].build_oracle(graph)
         with QueryService(
             graph,
             ALGORITHM,
+            oracle=oracle,
             cache_capacity=0,
             mutations=True,
-            epoch_rotate_after=rotate_after,
-            epoch_max_delta=4 * rotate_after,
-            epoch_rotate_sync=True,  # deterministic rotation count
         ) as service:
             for query in workload:
                 for _ in range(MUTATIONS_PER_QUERY):
@@ -122,20 +119,17 @@ def test_latency_under_streaming_edges(benchmark):
 
     benchmark.extra_info["queries"] = len(workload)
     benchmark.extra_info["mutations"] = len(workload) * MUTATIONS_PER_QUERY
-    benchmark.extra_info["rotate_after"] = rotate_after
     benchmark.extra_info["quiet_p50_ms"] = round(quiet_stats.p50_ms, 3)
     benchmark.extra_info["quiet_p95_ms"] = round(quiet_stats.p95_ms, 3)
     benchmark.extra_info["churn_p50_ms"] = round(churn_stats.p50_ms, 3)
     benchmark.extra_info["churn_p95_ms"] = round(churn_stats.p95_ms, 3)
-    benchmark.extra_info["rotations"] = epoch_report["rotations"]
     benchmark.extra_info["repairs"] = epoch_report["repairs"]
-    benchmark.extra_info["delta_reads"] = epoch_report["delta_reads"]
     benchmark.extra_info["failed_requests"] = failures + quiet_failures
 
     # Hard guarantees: the mutation stream can never fail a request, and
-    # the configured thresholds must have rotated the epoch >= 3 times.
+    # with the oracle built every flip repaired it in place.
     assert failures == 0 and quiet_failures == 0
-    assert epoch_report["rotations"] >= 3, epoch_report
+    assert epoch_report["repairs"] > 0, epoch_report
 
     # The latency claim (soft under --smoke, where tiny solves make the
     # percentiles noise-dominated): streaming mutations cost at most 2x
@@ -152,12 +146,12 @@ def test_latency_under_streaming_edges(benchmark):
 
 
 def test_incremental_repair_beats_rebuild_serving(benchmark):
-    """Epoch-mode mutation apply must beat mutate-and-rebuild serving.
+    """Gated mutation apply must beat mutate-and-rebuild serving.
 
-    The alternative to incremental repair is what a pre-epoch service
-    did implicitly: any graph edit invalidates the oracle and the next
+    The alternative to incremental repair is what a read-only service
+    does implicitly: any graph edit invalidates the oracle and the next
     query pays a full index rebuild.  This measures the same
-    mutate+query loop both ways; the epoch path must not be slower.
+    mutate+query loop both ways; the repair path must not be slower.
     (It is usually several times faster — the assertion is lenient
     because at smoke scale both are microseconds.)
     """
@@ -177,14 +171,13 @@ def test_incremental_repair_beats_rebuild_serving(benchmark):
                 # is_stale() trips: the oracle is rebuilt from scratch.
                 service.submit(query)
 
-    def epoch_pass():
+    def repair_pass():
         graph = _fresh_graph()
         with QueryService(
             graph,
             ALGORITHM,
             cache_capacity=0,
             mutations=True,
-            epoch_rotate_sync=True,
         ) as service:
             for (u, v), query in zip(flips, workload):
                 if graph.has_edge(u, v):
@@ -197,14 +190,14 @@ def test_incremental_repair_beats_rebuild_serving(benchmark):
     rebuild_pass()
     rebuild_seconds = time.perf_counter() - start
 
-    benchmark.pedantic(epoch_pass, rounds=1, iterations=1)
-    epoch_seconds = benchmark.stats.stats.mean
+    benchmark.pedantic(repair_pass, rounds=1, iterations=1)
+    repair_seconds = benchmark.stats.stats.mean
 
-    speedup = rebuild_seconds / epoch_seconds if epoch_seconds else float("inf")
+    speedup = rebuild_seconds / repair_seconds if repair_seconds else float("inf")
     benchmark.extra_info["rebuild_seconds"] = round(rebuild_seconds, 4)
     benchmark.extra_info["speedup_vs_rebuild"] = round(speedup, 2)
     check_claim(
         speedup >= 1.0,
-        f"epoch serving {epoch_seconds:.4f}s slower than rebuild "
+        f"repair serving {repair_seconds:.4f}s slower than rebuild "
         f"{rebuild_seconds:.4f}s",
     )

@@ -49,7 +49,7 @@ from repro.core.query import DKTGQuery, KTGQuery
 from repro.datasets.figure1 import case_study_graph, case_study_query
 from repro.datasets.io import write_graph
 from repro.datasets.registry import PROFILES, load_dataset
-from repro.index.stats import measure_footprint
+from repro.index.stats import adjacency_footprint_bytes, measure_footprint
 from repro.core.branch_and_bound import BranchAndBoundSolver
 from repro.core.strategies import strategy_by_name
 from repro.core.trace import TracingSolver
@@ -253,26 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mutations",
         action="store_true",
         help=(
-            "accept POST /mutate graph edits: mutations are delta-buffered "
-            "against epoch CSR snapshots and served without a restart"
+            "accept POST /mutate graph edits: each one waits for in-flight "
+            "solves and repairs the index in place, without a restart"
         ),
-    )
-    serve.add_argument(
-        "--rotate-after",
-        type=int,
-        default=64,
-        help="delta depth that triggers a background epoch rotation",
-    )
-    serve.add_argument(
-        "--max-delta",
-        type=int,
-        default=256,
-        help="delta depth that forces a synchronous epoch rotation",
-    )
-    serve.add_argument(
-        "--epoch-shared",
-        action="store_true",
-        help="place epoch snapshots in shared memory (process fan-out)",
     )
     serve.add_argument(
         "--graphs",
@@ -377,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help=(
-            "apply N random edge mutations through an epoch-mode service "
-            "interleaved with solves and print the epoch serving metrics"
+            "apply N random edge mutations through a mutable service "
+            "interleaved with solves and print the serving metrics"
         ),
     )
 
@@ -578,9 +561,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         distance_engine=args.distance_engine,
         mutations=args.mutations,
-        epoch_rotate_after=args.rotate_after,
-        epoch_max_delta=args.max_delta,
-        epoch_shared=args.epoch_shared,
         instruments=registry,
     )
     graph_registry = None
@@ -755,33 +735,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _footprint_row(graph) -> dict:
-    """Adjacency vs CSR bytes plus snapshot lifecycle status (``ktg stats``)."""
-    from repro.core.csr import adjacency_footprint_bytes, counter_totals
-
+    """Resident bytes of the graph's adjacency (``ktg stats``)."""
     adjacency_bytes = adjacency_footprint_bytes(graph)
-    snapshot = graph.csr_snapshot()
-    totals = counter_totals()
     return {
+        "vertices": graph.num_vertices,
+        "edges": graph.num_edges,
         "adjacency_bytes": adjacency_bytes,
-        "csr_bytes": snapshot.nbytes,
-        "csr_vs_adjacency": f"{snapshot.nbytes / adjacency_bytes:.3f}x"
-        if adjacency_bytes
+        "bytes_per_edge": round(adjacency_bytes / graph.num_edges, 1)
+        if graph.num_edges
         else "n/a",
-        "snapshot": "shared" if snapshot.is_shared else "built (local)",
-        "snapshot_version": snapshot.graph_version,
-        "builds": totals["builds"],
-        "attaches": totals["attaches"],
-        "segment_releases": totals["segment_releases"],
     }
 
 
 def _cmd_stats_churn(args: argparse.Namespace, graph, vocabulary) -> int:
     """``ktg stats <profile> --churn N``: serve under a mutation stream.
 
-    Interleaves solves with N random edge flips through an epoch-mode
-    :class:`QueryService`, then prints the service metrics (epoch id,
-    delta depth, rotation timings) and the epoch instrument section —
-    the quickest way to see snapshot rotation working end to end.
+    Interleaves solves with N random edge flips through a
+    ``mutations=True`` :class:`QueryService`, then prints the service
+    metrics and how many incremental index repairs the mutations made —
+    the quickest way to see in-place repair working end to end.
     """
     import random
 
@@ -798,14 +770,10 @@ def _cmd_stats_churn(args: argparse.Namespace, graph, vocabulary) -> int:
         seed=0,
     )
     rng = random.Random(0)
-    rotate_after = max(1, min(8, args.churn // 4 or 1))
     with QueryService(
         graph,
         args.algorithm,
         mutations=True,
-        epoch_rotate_after=rotate_after,
-        epoch_max_delta=4 * rotate_after,
-        epoch_rotate_sync=True,
         distance_engine=args.distance_engine,
     ) as service:
         n = graph.num_vertices
@@ -822,12 +790,11 @@ def _cmd_stats_churn(args: argparse.Namespace, graph, vocabulary) -> int:
         render_table(
             [stats.as_dict()],
             title=(
-                f"{args.profile}: service metrics under {args.churn} "
-                f"mutations (rotate_after={rotate_after})"
+                f"{args.profile}: service metrics under {args.churn} mutations"
             ),
         )
     )
-    print(render_table([report["epoch"]], title="epoch manager"))
+    print(f"incremental index repairs: {report['epoch']['repairs']}")
     return 0
 
 

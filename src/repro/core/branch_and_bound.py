@@ -47,7 +47,8 @@ from repro.core.pruning import keyword_prune_decision
 from repro.core.query import KTGQuery
 from repro.core.results import Group, TopNPool
 from repro.core.strategies import OrderingStrategy, VKCOrdering
-from repro.index.base import DistanceOracle, GraphLike
+from repro.core.graph import AttributedGraph
+from repro.index.base import DistanceOracle
 from repro.index.bfs import BFSOracle
 
 if TYPE_CHECKING:  # hooks are duck-typed at runtime (no repro.obs import)
@@ -321,7 +322,7 @@ class BranchAndBoundSolver:
 
     def __init__(
         self,
-        graph: GraphLike,
+        graph: AttributedGraph,
         oracle: Optional[DistanceOracle] = None,
         strategy: Optional[OrderingStrategy] = None,
         keyword_pruning: bool = True,
@@ -841,7 +842,7 @@ def _coverage_values(query_size: int) -> tuple[float, ...]:
 
 
 def make_solver(
-    graph: GraphLike,
+    graph: AttributedGraph,
     strategy_name: str = "vkc-deg",
     oracle: Optional[DistanceOracle] = None,
     **solver_options,

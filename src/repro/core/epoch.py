@@ -1,457 +1,63 @@
-"""Epoch-rotated CSR snapshots with delta-buffered reads.
+"""Mutation gate: serve solves while the graph mutates.
 
-A serving fleet cannot stall on every edge insert: rebuilding the CSR
-snapshot, the ball-bitset cache and the distance index from scratch per
-mutation is the "full rebuild" anti-pattern the paper's Section V-B
-dynamic maintenance exists to avoid.  This module layers the paper's
-delta idea over :class:`repro.core.csr.CsrSnapshot`:
+The paper maintains its distance index under edge updates instead of
+rebuilding it (Section V-B dynamic maintenance).  A mutable
+:class:`repro.service.QueryService` does the same through
+:class:`EpochManager`:
 
-* an **epoch** is one frozen snapshot plus a bounded :class:`GraphDelta`
-  of mutations recorded since it was cut.  Logical reads are the
-  composite ``snapshot ⊕ delta`` (:class:`EpochGraphView`), which is
-  bit-identical to a from-scratch graph at every delta size — the
-  property tests in ``tests/properties/test_prop_epoch.py`` prove it;
-* mutations route through :class:`EpochManager`, which applies them to
-  the live graph **and** the delta under a writer-priority gate, then
-  repairs the registered distance oracle / ball kernel incrementally
-  (``epoch.repairs``) instead of letting them rebuild;
-* when the delta reaches ``rotate_after`` ops a **background thread**
-  compacts ``snapshot ⊕ delta`` into the next epoch's segment (shared
-  memory when ``shared=True``) without touching the live graph — the
-  build input is a frozen clone, so solves and further mutations keep
-  flowing during the O(n+m) compaction.  Mutations that land mid-build
-  are replayed into the new epoch's delta at swap time;
-* readers pin the current epoch with refcounted **leases**; a retired
-  epoch's shared segment is released only when its last lease drops —
-  no fleet restart, no ``/dev/shm`` leak.  A delta that outruns the
-  rotator (``max_delta`` ops) forces a synchronous rotation as
-  backpressure.
+* every mutation is validated against the live graph first (self-loop,
+  duplicate or missing edge, closed manager: typed errors, graph
+  unchanged);
+* the edit runs under the write side of a writer-priority gate.  The
+  registered distance oracle drives it, so the oracle repairs its
+  labels incrementally, and then the ball kernel evicts only the balls
+  the edit can touch.  Each repair bumps ``epoch.repairs``;
+* solves hold the read side for their whole search, so no solve ever
+  sees a half-applied mutation or a mid-repair index, and the next
+  solve after a mutation reads the new ``graph.version``.
 
-The rotation protocol, lease semantics and delta-read cost model are
-documented in ``docs/epochs.md``.
+The protocol is documented in the "Mutations" section of
+``docs/service.md``.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
-
-from repro.core.csr import CsrSnapshot
-from repro.core.errors import (
-    EpochError,
-    GraphConstructionError,
-    SnapshotError,
-    UnknownVertexError,
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    ContextManager,
+    Iterable,
+    Iterator,
+    Optional,
 )
-from repro.core.graph import AttributedGraph, KeywordTable
+
+from repro.core.errors import EpochError, GraphConstructionError
+from repro.core.graph import AttributedGraph
 from repro.obs.instruments import NULL_REGISTRY, InstrumentRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.index.base import DistanceOracle
     from repro.kernels.engine import BallBitsetEngine
 
-__all__ = [
-    "GraphDelta",
-    "EpochGraphView",
-    "Epoch",
-    "EpochManager",
-    "EpochStats",
-    "counter_totals",
-    "reset_counters",
-]
-
-#: Default delta depth that wakes the background rotator.
-DEFAULT_ROTATE_AFTER = 64
-#: Default delta depth that forces a synchronous (blocking) rotation.
-DEFAULT_MAX_DELTA = 256
+__all__ = ["EpochManager", "counter_totals"]
 
 
 # ----------------------------------------------------------------------
 # Module-level counters (``epoch.*`` observability family)
 # ----------------------------------------------------------------------
 _COUNTER_LOCK = threading.Lock()
+# Only ``repairs`` still counts.  ``perfbench/run.py`` reads all four
+# keys, so the three retired ones stay at 0 until the next benchmark
+# change drops them (ROADMAP item 8).
 _TOTALS = {"rotations": 0, "delta_reads": 0, "lease_waits": 0, "repairs": 0}
 
 
-def _bump(name: str, amount: int, instruments: InstrumentRegistry) -> None:
-    with _COUNTER_LOCK:
-        _TOTALS[name] += amount
-    instruments.counter(f"epoch.{name}").inc(amount)
-
-
 def counter_totals() -> dict[str, int]:
-    """Process-wide ``epoch.*`` totals (rotations/delta_reads/lease_waits/repairs)."""
+    """Process-wide ``epoch.*`` totals (only ``repairs`` is ever non-zero)."""
     with _COUNTER_LOCK:
         return dict(_TOTALS)
-
-
-def reset_counters() -> None:
-    """Zero the process-wide counters (tests and benchmarks only)."""
-    with _COUNTER_LOCK:
-        for key in _TOTALS:
-            _TOTALS[key] = 0
-
-
-# ----------------------------------------------------------------------
-# Delta buffer
-# ----------------------------------------------------------------------
-class GraphDelta:
-    """Mutations recorded on top of one frozen :class:`CsrSnapshot`.
-
-    The delta stores an op log (for replay across a rotation cut) plus
-    materialised overlays: adjacency rows copied from the snapshot on
-    first touch and then edited in place, keyword-set overrides, and a
-    count of appended vertices.  ``depth`` (the op count) is the unit
-    the rotation thresholds are expressed in.
-
-    Invariant maintained by :class:`EpochManager`: every live-graph
-    mutation appends exactly one op, so
-    ``snapshot.graph_version + delta.depth == graph.version`` and the
-    composite view's :attr:`EpochGraphView.version` tracks the live
-    graph exactly.
-    """
-
-    __slots__ = ("snapshot", "ops", "adjacency", "keywords", "extra_vertices", "edge_delta")
-
-    def __init__(self, snapshot: CsrSnapshot) -> None:
-        self.snapshot = snapshot
-        self.ops: list[tuple] = []
-        self.adjacency: dict[int, set[int]] = {}
-        self.keywords: dict[int, frozenset[int]] = {}
-        self.extra_vertices = 0
-        self.edge_delta = 0
-
-    @property
-    def depth(self) -> int:
-        """Number of recorded ops (the rotation-threshold unit)."""
-        return len(self.ops)
-
-    @property
-    def num_vertices(self) -> int:
-        return self.snapshot.num_vertices + self.extra_vertices
-
-    def _row(self, vertex: int) -> set[int]:
-        row = self.adjacency.get(vertex)
-        if row is None:
-            if vertex < self.snapshot.num_vertices:
-                row = set(self.snapshot.neighbors_list(vertex))
-            else:
-                row = set()
-            self.adjacency[vertex] = row
-        return row
-
-    def record_add_edge(self, u: int, v: int) -> None:
-        self._row(u).add(v)
-        self._row(v).add(u)
-        self.edge_delta += 1
-        self.ops.append(("+e", u, v))
-
-    def record_remove_edge(self, u: int, v: int) -> None:
-        self._row(u).discard(v)
-        self._row(v).discard(u)
-        self.edge_delta -= 1
-        self.ops.append(("-e", u, v))
-
-    def record_set_keywords(self, vertex: int, keyword_ids: frozenset[int]) -> None:
-        self.keywords[vertex] = keyword_ids
-        self.ops.append(("kw", vertex, keyword_ids))
-
-    def record_add_vertex(self, vertex: int, keyword_ids: frozenset[int]) -> None:
-        expected = self.num_vertices
-        if vertex != expected:
-            raise EpochError(
-                f"vertex ids must stay dense: expected {expected}, got {vertex}"
-            )
-        self.adjacency[vertex] = set()
-        self.keywords[vertex] = keyword_ids
-        self.extra_vertices += 1
-        self.ops.append(("+v", vertex, keyword_ids))
-
-    def replay(self, op: tuple) -> None:
-        """Re-apply one recorded op (tail replay across a rotation cut)."""
-        kind = op[0]
-        if kind == "+e":
-            self.record_add_edge(op[1], op[2])
-        elif kind == "-e":
-            self.record_remove_edge(op[1], op[2])
-        elif kind == "kw":
-            self.record_set_keywords(op[1], op[2])
-        elif kind == "+v":
-            self.record_add_vertex(op[1], op[2])
-        else:  # pragma: no cover - defensive
-            raise EpochError(f"unknown delta op {op!r}")
-
-    def clone(self) -> "GraphDelta":
-        """Deep copy for freezing at a rotation cut.
-
-        The clone shares the (immutable) base snapshot but owns its op
-        list and overlay containers, so the compactor can read it while
-        new mutations keep editing this delta.
-        """
-        frozen = GraphDelta(self.snapshot)
-        frozen.ops = list(self.ops)
-        frozen.adjacency = {v: set(row) for v, row in self.adjacency.items()}
-        frozen.keywords = dict(self.keywords)
-        frozen.extra_vertices = self.extra_vertices
-        frozen.edge_delta = self.edge_delta
-        return frozen
-
-    def __repr__(self) -> str:
-        return (
-            f"GraphDelta(depth={self.depth}, overlay_rows={len(self.adjacency)}, "
-            f"extra_vertices={self.extra_vertices}, edge_delta={self.edge_delta:+d})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Composite read view
-# ----------------------------------------------------------------------
-class EpochGraphView:
-    """Read-only ``snapshot ⊕ delta`` composite with the GraphLike API.
-
-    Unchanged rows delegate to a cached :class:`~repro.core.csr.CsrGraphView`
-    over the frozen snapshot; rows the delta touched are served from its
-    overlay (each overlay consult counts one ``epoch.delta_reads``).
-    The view is what the background compactor feeds to
-    :meth:`CsrSnapshot.from_graph` — ``from_graph`` consumes only this
-    read API and sorts each row, so compaction never touches the live
-    graph and its output is bit-identical to a snapshot of a
-    from-scratch graph.
-
-    Cost model: reads are O(base read) plus one dict probe; a touched
-    row costs one frozenset copy.  Mutators raise
-    :class:`~repro.core.errors.SnapshotError`.
-    """
-
-    __slots__ = ("_snapshot", "_delta", "_keyword_table", "_instruments")
-
-    def __init__(
-        self,
-        snapshot: CsrSnapshot,
-        delta: GraphDelta,
-        keyword_table: KeywordTable,
-        *,
-        instruments: InstrumentRegistry = NULL_REGISTRY,
-    ) -> None:
-        if delta.snapshot is not snapshot:
-            raise EpochError("delta was recorded against a different snapshot")
-        self._snapshot = snapshot
-        self._delta = delta
-        self._keyword_table = keyword_table
-        self._instruments = instruments
-
-    def _delta_read(self, amount: int = 1) -> None:
-        _bump("delta_reads", amount, self._instruments)
-
-    # ------------------------------------------------------------------
-    # Identity / metadata
-    # ------------------------------------------------------------------
-    @property
-    def snapshot(self) -> CsrSnapshot:
-        return self._snapshot
-
-    @property
-    def delta(self) -> GraphDelta:
-        return self._delta
-
-    @property
-    def num_vertices(self) -> int:
-        return self._delta.num_vertices
-
-    @property
-    def num_edges(self) -> int:
-        return self._snapshot.num_edges + self._delta.edge_delta
-
-    @property
-    def version(self) -> int:
-        """Base snapshot version plus delta depth (== live ``graph.version``)."""
-        return self._snapshot.graph_version + self._delta.depth
-
-    @property
-    def keyword_table(self) -> KeywordTable:
-        return self._keyword_table
-
-    # ------------------------------------------------------------------
-    # Read API
-    # ------------------------------------------------------------------
-    def vertices(self) -> range:
-        return range(self.num_vertices)
-
-    def neighbors(self, vertex: int) -> frozenset[int]:
-        self._check_vertex(vertex)
-        row = self._delta.adjacency.get(vertex)
-        if row is not None:
-            self._delta_read()
-            return frozenset(row)
-        return frozenset(self._snapshot.neighbors_list(vertex))
-
-    def adjacency_view(self) -> Sequence[frozenset[int]]:
-        """Composite per-vertex neighbour sets (fresh list each call)."""
-        snapshot = self._snapshot
-        indptr = snapshot.indptr
-        indices = snapshot.indices
-        overlay = self._delta.adjacency
-        rows: list[frozenset[int]] = [
-            frozenset(indices[indptr[v] : indptr[v + 1]])
-            for v in range(snapshot.num_vertices)
-        ]
-        rows.extend([frozenset()] * self._delta.extra_vertices)
-        for v, row in overlay.items():
-            rows[v] = frozenset(row)
-        if overlay:
-            self._delta_read(len(overlay))
-        return rows
-
-    def degree(self, vertex: int) -> int:
-        return len(self.neighbors(vertex))
-
-    def degrees(self) -> list[int]:
-        return [len(row) for row in self.adjacency_view()]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(v)
-        return v in self.neighbors(u)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, row in enumerate(self.adjacency_view()):
-            for v in row:
-                if u < v:
-                    yield (u, v)
-
-    def keywords_of(self, vertex: int) -> frozenset[int]:
-        self._check_vertex(vertex)
-        overridden = self._delta.keywords.get(vertex)
-        if overridden is not None:
-            self._delta_read()
-            return overridden
-        if vertex >= self._snapshot.num_vertices:  # pragma: no cover - defensive
-            return frozenset()
-        return self._base_keywords(vertex)
-
-    def _base_keywords(self, vertex: int) -> frozenset[int]:
-        snapshot = self._snapshot
-        if snapshot.kw_stride == 0:
-            return frozenset()
-        bits = snapshot.keyword_mask(vertex)
-        ids: list[int] = []
-        while bits:
-            low = bits & -bits
-            ids.append(low.bit_length() - 1)
-            bits ^= low
-        return frozenset(ids)
-
-    def keyword_labels(self, vertex: int) -> list[str]:
-        return self._keyword_table.labels(self.keywords_of(vertex))
-
-    def vertices_with_any_keyword(self, keyword_ids: frozenset[int]) -> list[int]:
-        return [
-            v
-            for v in range(self.num_vertices)
-            if not keyword_ids.isdisjoint(self.keywords_of(v))
-        ]
-
-    # ------------------------------------------------------------------
-    # Distance primitives (BFS over the composite adjacency)
-    # ------------------------------------------------------------------
-    def bfs_distances(self, source: int, max_depth: Optional[int] = None) -> dict[int, int]:
-        self._check_vertex(source)
-        adjacency = self.adjacency_view()
-        distances = {source: 0}
-        frontier = [source]
-        depth = 0
-        while frontier and (max_depth is None or depth < max_depth):
-            depth += 1
-            next_frontier: list[int] = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if v not in distances:
-                        distances[v] = depth
-                        next_frontier.append(v)
-            frontier = next_frontier
-        return distances
-
-    def hop_distance(self, u: int, v: int, cutoff: Optional[int] = None) -> Optional[int]:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            return 0
-        distances = self.bfs_distances(u, max_depth=cutoff)
-        return distances.get(v)
-
-    # ------------------------------------------------------------------
-    # Mutators are forbidden on the composite view
-    # ------------------------------------------------------------------
-    def add_edge(self, u: int, v: int) -> None:
-        raise SnapshotError("EpochGraphView is frozen; mutate via the EpochManager")
-
-    def remove_edge(self, u: int, v: int) -> None:
-        raise SnapshotError("EpochGraphView is frozen; mutate via the EpochManager")
-
-    def set_keywords(self, vertex: int, labels: object) -> None:
-        raise SnapshotError("EpochGraphView is frozen; mutate via the EpochManager")
-
-    # ------------------------------------------------------------------
-    def _check_vertex(self, vertex: int) -> None:
-        if not 0 <= vertex < self.num_vertices:
-            raise UnknownVertexError(vertex)
-
-    def __repr__(self) -> str:
-        return (
-            f"EpochGraphView(|V|={self.num_vertices}, |E|={self.num_edges}, "
-            f"version={self.version}, delta_depth={self._delta.depth})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Epoch bookkeeping
-# ----------------------------------------------------------------------
-class Epoch:
-    """One frozen snapshot generation, pinned by reader leases."""
-
-    __slots__ = ("epoch_id", "snapshot", "refcount", "retired", "released")
-
-    def __init__(self, epoch_id: int, snapshot: CsrSnapshot) -> None:
-        self.epoch_id = epoch_id
-        self.snapshot = snapshot
-        self.refcount = 0
-        self.retired = False
-        self.released = False
-
-    def __repr__(self) -> str:
-        state = "retired" if self.retired else "current"
-        return (
-            f"Epoch(id={self.epoch_id}, leases={self.refcount}, {state}, "
-            f"snapshot={self.snapshot!r})"
-        )
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    """Operator-facing staleness/lifecycle metrics for one manager."""
-
-    epoch_id: int
-    delta_depth: int
-    rotations: int
-    overflow_rotations: int
-    last_rotation_ms: float
-    active_leases: int
-    draining_epochs: int
-    repairs: int
-
-    def as_dict(self) -> dict:
-        return {
-            "epoch_id": self.epoch_id,
-            "delta_depth": self.delta_depth,
-            "rotations": self.rotations,
-            "overflow_rotations": self.overflow_rotations,
-            "last_rotation_ms": round(self.last_rotation_ms, 3),
-            "active_leases": self.active_leases,
-            "draining_epochs": self.draining_epochs,
-            "repairs": self.repairs,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -464,8 +70,7 @@ class _ReadWriteGate:
     observe a half-applied mutation or a mid-repair oracle; mutations
     hold the write side.  Writers have priority: a waiting writer
     blocks *new* readers, so a steady query stream cannot starve the
-    mutation path.  Rotation compaction deliberately takes neither side
-    — it reads a frozen delta clone.
+    mutation path.
     """
 
     def __init__(self) -> None:
@@ -510,73 +115,31 @@ class _ReadWriteGate:
 # Manager
 # ----------------------------------------------------------------------
 class EpochManager:
-    """Owns the live graph's mutation path and the epoch lifecycle.
+    """Owns the live graph's mutation path.
 
     Parameters
     ----------
     graph:
-        The live :class:`AttributedGraph`.  All mutations must go
-        through this manager once it exists; direct ``graph.add_edge``
-        calls would desynchronise the delta from the graph version.
-    rotate_after:
-        Delta depth at which a rotation is scheduled (background by
-        default, inline when ``rotate_sync=True``).
-    max_delta:
-        Hard delta bound; reaching it forces a synchronous rotation on
-        the mutating thread (backpressure when the rotator falls
-        behind).
-    shared:
-        Promote each epoch's snapshot into a shared-memory segment
-        (``snapshot.share()``), exercising the cross-process attach
-        path; retired segments are released when their last lease
-        drops.
-    rotate_sync:
-        Rotate inline on the mutating thread at ``rotate_after`` —
-        deterministic rotation counts for benches and tests.
+        The live :class:`AttributedGraph`.  Once a manager exists every
+        mutation must go through it: a direct ``graph.add_edge`` would
+        bypass the gate and leave the oracle unrepaired.
     instruments:
-        Registry for the ``epoch.*`` counter family.
+        Registry for the ``epoch.repairs`` counter.
     """
 
     def __init__(
         self,
         graph: AttributedGraph,
         *,
-        rotate_after: int = DEFAULT_ROTATE_AFTER,
-        max_delta: int = DEFAULT_MAX_DELTA,
-        shared: bool = False,
-        rotate_sync: bool = False,
         instruments: InstrumentRegistry = NULL_REGISTRY,
     ) -> None:
-        if rotate_after < 1:
-            raise ValueError(f"rotate_after must be >= 1, got {rotate_after}")
-        if max_delta < rotate_after:
-            raise ValueError(
-                f"max_delta ({max_delta}) must be >= rotate_after ({rotate_after})"
-            )
         self.graph = graph
-        self._rotate_after = rotate_after
-        self._max_delta = max_delta
-        self._shared = shared
-        self._rotate_sync = rotate_sync
         self._instruments = instruments
         self._gate = _ReadWriteGate()
-        self._lock = threading.Lock()
-        self._rotate_lock = threading.Lock()
         self._oracle_provider: Optional[Callable[[], Optional["DistanceOracle"]]] = None
         self._kernel_provider: Optional[Callable[[], Optional["BallBitsetEngine"]]] = None
-        snapshot = CsrSnapshot.from_graph(graph, instruments=instruments)
-        if shared:
-            snapshot = snapshot.share(instruments=instruments)
-        self._epoch = Epoch(0, snapshot)
-        self._delta = GraphDelta(snapshot)
-        self._draining: list[Epoch] = []
-        self._rotations = 0
-        self._overflow_rotations = 0
         self._repairs = 0
-        self._last_rotation_ms = 0.0
         self._closed = False
-        self._wake = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Repair-target registration (set by QueryService)
@@ -602,81 +165,67 @@ class EpochManager:
         return self._kernel_provider() if self._kernel_provider is not None else None
 
     # ------------------------------------------------------------------
-    # Mutation API (the only legal write path in epoch mode)
+    # Mutation API (the only legal write path)
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int) -> None:
-        """Insert edge ``(u, v)``: graph + delta + incremental repairs."""
+        """Insert edge ``(u, v)`` and repair the oracle, then the kernel."""
         with self._gate.write():
-            with self._lock:
-                self._check_open()
-                if u == v:
-                    raise GraphConstructionError(
-                        f"self-loop on vertex {u} is not allowed"
-                    )
-                if self.graph.has_edge(u, v):
-                    raise GraphConstructionError(f"duplicate edge ({u}, {v})")
-                oracle = self._current_oracle()
-                if oracle is not None:
-                    # The oracle drives the mutation so it can snapshot
-                    # pre-mutation distances for its affected-label rule.
-                    oracle.insert_edge(u, v)
-                    self._count_repair()
-                else:
-                    self.graph.add_edge(u, v)
-                self._delta.record_add_edge(u, v)
-                self._repair_kernel_edge(u, v)
-        self._after_mutation()
+            self._check_open()
+            if u == v:
+                raise GraphConstructionError(f"self-loop on vertex {u} is not allowed")
+            if self.graph.has_edge(u, v):
+                raise GraphConstructionError(f"duplicate edge ({u}, {v})")
+            oracle = self._current_oracle()
+            if oracle is not None:
+                # The oracle drives the mutation so it can snapshot
+                # pre-mutation distances for its affected-label rule.
+                oracle.insert_edge(u, v)
+                self._count_repair()
+            else:
+                self.graph.add_edge(u, v)
+            self._repair_kernel_edge(u, v)
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge ``(u, v)``: graph + delta + incremental repairs."""
+        """Delete edge ``(u, v)`` and repair the oracle, then the kernel."""
         with self._gate.write():
-            with self._lock:
-                self._check_open()
-                if not self.graph.has_edge(u, v):
-                    raise GraphConstructionError(f"edge ({u}, {v}) does not exist")
-                oracle = self._current_oracle()
-                if oracle is not None:
-                    oracle.delete_edge(u, v)
-                    self._count_repair()
-                else:
-                    self.graph.remove_edge(u, v)
-                self._delta.record_remove_edge(u, v)
-                self._repair_kernel_edge(u, v)
-        self._after_mutation()
+            self._check_open()
+            if not self.graph.has_edge(u, v):
+                raise GraphConstructionError(f"edge ({u}, {v}) does not exist")
+            oracle = self._current_oracle()
+            if oracle is not None:
+                oracle.delete_edge(u, v)
+                self._count_repair()
+            else:
+                self.graph.remove_edge(u, v)
+            self._repair_kernel_edge(u, v)
 
     def set_keywords(self, vertex: int, labels: Iterable[str]) -> None:
         """Replace *vertex*'s keywords.  Distances are unaffected, so the
         oracle/kernel only resync their version stamps (no eviction)."""
         with self._gate.write():
-            with self._lock:
-                self._check_open()
-                self.graph.set_keywords(vertex, labels)
-                self._delta.record_set_keywords(vertex, self.graph.keywords_of(vertex))
-                oracle = self._current_oracle()
-                if oracle is not None:
-                    oracle.note_keywords_changed()
-                    self._count_repair()
-                kernel = self._current_kernel()
-                if kernel is not None:
-                    kernel.sync_version()
-        self._after_mutation()
+            self._check_open()
+            self.graph.set_keywords(vertex, labels)
+            oracle = self._current_oracle()
+            if oracle is not None:
+                oracle.note_keywords_changed()
+                self._count_repair()
+            kernel = self._current_kernel()
+            if kernel is not None:
+                kernel.sync_version()
 
     def add_vertex(self, labels: Iterable[str] = ()) -> int:
         """Append a new isolated vertex; return its dense id."""
         with self._gate.write():
-            with self._lock:
-                self._check_open()
-                oracle = self._current_oracle()
-                if oracle is not None:
-                    vertex = oracle.insert_vertex(labels)
-                    self._count_repair()
-                else:
-                    vertex = self.graph.add_vertex(labels)
-                self._delta.record_add_vertex(vertex, self.graph.keywords_of(vertex))
-                kernel = self._current_kernel()
-                if kernel is not None:
-                    kernel.sync_version()
-        self._after_mutation()
+            self._check_open()
+            oracle = self._current_oracle()
+            if oracle is not None:
+                vertex = oracle.insert_vertex(labels)
+                self._count_repair()
+            else:
+                vertex = self.graph.add_vertex(labels)
+            kernel = self._current_kernel()
+            if kernel is not None:
+                kernel.sync_version()
         return vertex
 
     def _repair_kernel_edge(self, u: int, v: int) -> None:
@@ -686,215 +235,31 @@ class EpochManager:
             self._count_repair()
 
     def _count_repair(self) -> None:
+        # Called under the write gate, so the per-manager count needs no
+        # lock of its own; the process-wide total does.
         self._repairs += 1
-        _bump("repairs", 1, self._instruments)
+        with _COUNTER_LOCK:
+            _TOTALS["repairs"] += 1
+        self._instruments.counter("epoch.repairs").inc()
 
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    @contextmanager
-    def read(self) -> Iterator[None]:
+    def read(self) -> ContextManager[None]:
         """Solve-consistency gate: hold for the duration of one solve."""
-        with self._gate.read():
-            yield
+        return self._gate.read()
 
-    @contextmanager
-    def lease(self) -> Iterator[Epoch]:
-        """Pin the current epoch; its segment outlives rotation until exit."""
-        with self._lock:
-            self._check_open()
-            epoch = self._epoch
-            epoch.refcount += 1
-        try:
-            yield epoch
-        finally:
-            self._drop_lease(epoch)
-
-    def _drop_lease(self, epoch: Epoch) -> None:
-        release = False
-        with self._lock:
-            epoch.refcount -= 1
-            if epoch.retired and epoch.refcount == 0 and not epoch.released:
-                epoch.released = True
-                release = True
-                if epoch in self._draining:
-                    self._draining.remove(epoch)
-        if release:
-            self._release_snapshot(epoch.snapshot)
-
-    def _release_snapshot(self, snapshot: CsrSnapshot) -> None:
-        # Local (non-shared) snapshots just get garbage-collected; only
-        # owned shared segments need an explicit unlink.
-        if snapshot.is_shared and snapshot.is_owner:
-            snapshot.release(instruments=self._instruments)
-
-    def view(self) -> EpochGraphView:
-        """Composite ``snapshot ⊕ delta`` view of the *current* state."""
-        with self._lock:
-            self._check_open()
-            return EpochGraphView(
-                self._epoch.snapshot,
-                self._delta,
-                self.graph.keyword_table,
-                instruments=self._instruments,
-            )
-
-    def current_epoch(self) -> Epoch:
-        with self._lock:
-            return self._epoch
-
-    def segment_name(self) -> Optional[str]:
-        """Shared-memory name of the current epoch (``None`` unless shared)."""
-        with self._lock:
-            return self._epoch.snapshot.name
+    @property
+    def repairs(self) -> int:
+        """Incremental oracle/kernel repairs this manager has applied."""
+        return self._repairs
 
     # ------------------------------------------------------------------
-    # Rotation
+    # Lifecycle
     # ------------------------------------------------------------------
-    def _after_mutation(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            depth = self._delta.depth
-        if depth >= self._max_delta:
-            self.rotate(reason="overflow")
-        elif depth >= self._rotate_after:
-            if self._rotate_sync:
-                self.rotate(reason="threshold")
-            else:
-                self._ensure_rotator()
-                self._wake.set()
-
-    def _ensure_rotator(self) -> None:
-        if self._thread is None:
-            with self._lock:
-                if self._thread is None and not self._closed:
-                    self._thread = threading.Thread(
-                        target=self._background_loop,
-                        name="ktg-epoch-rotator",
-                        daemon=True,
-                    )
-                    self._thread.start()
-
-    def _background_loop(self) -> None:
-        while True:
-            self._wake.wait()
-            self._wake.clear()
-            with self._lock:
-                if self._closed:
-                    return
-            try:
-                self.rotate(reason="threshold")
-            except EpochError:  # closed mid-rotation
-                return
-
-    def rotate(self, *, reason: str = "manual") -> bool:
-        """Compact ``snapshot ⊕ delta`` into the next epoch and swap.
-
-        Returns whether a rotation happened (threshold/overflow calls
-        re-check the depth under the rotation lock and skip when a
-        concurrent rotation already drained the delta).  The compaction
-        itself runs outside every lock: its input is a frozen delta
-        clone, so solves and further mutations proceed while the next
-        segment is built.  Mutations that arrive mid-build are replayed
-        into the new epoch's delta at swap time.
-        """
-        with self._rotate_lock:
-            started = time.perf_counter()
-            with self._lock:
-                self._check_open()
-                depth = self._delta.depth
-                if reason == "threshold" and depth < self._rotate_after:
-                    return False
-                if reason == "overflow" and depth < self._max_delta:
-                    return False
-                if reason == "manual" and depth == 0:
-                    return False
-                frozen = self._delta.clone()
-                base = self._epoch.snapshot
-                # Freeze the label universe too: the live KeywordTable is
-                # append-only but a concurrent set_keywords could intern a
-                # new label between from_graph reading len(table) and
-                # list(table), corrupting the blob.
-                frozen_table = KeywordTable(list(self.graph.keyword_table))
-            cut = frozen.depth
-            view = EpochGraphView(
-                base, frozen, frozen_table, instruments=self._instruments
-            )
-            new_snapshot = CsrSnapshot.from_graph(view, instruments=self._instruments)
-            if self._shared:
-                shared = new_snapshot.share(instruments=self._instruments)
-                new_snapshot = shared
-            with self._lock:
-                self._check_open()
-                tail = self._delta.ops[cut:]
-                new_delta = GraphDelta(new_snapshot)
-                for op in tail:
-                    new_delta.replay(op)
-                old = self._epoch
-                self._epoch = Epoch(old.epoch_id + 1, new_snapshot)
-                self._delta = new_delta
-                self._rotations += 1
-                if reason == "overflow":
-                    self._overflow_rotations += 1
-                self._last_rotation_ms = (time.perf_counter() - started) * 1000.0
-                self._retire_locked(old)
-            _bump("rotations", 1, self._instruments)
-            return True
-
-    def _retire_locked(self, epoch: Epoch) -> None:
-        epoch.retired = True
-        if epoch.refcount == 0:
-            if not epoch.released:
-                epoch.released = True
-                self._release_snapshot(epoch.snapshot)
-        else:
-            # Readers still drain on the old segment; the last lease
-            # drop releases it.  Count the rotation that had to wait.
-            self._draining.append(epoch)
-            _bump("lease_waits", 1, self._instruments)
-
-    # ------------------------------------------------------------------
-    # Stats / lifecycle
-    # ------------------------------------------------------------------
-    def stats(self) -> EpochStats:
-        with self._lock:
-            return EpochStats(
-                epoch_id=self._epoch.epoch_id,
-                delta_depth=self._delta.depth,
-                rotations=self._rotations,
-                overflow_rotations=self._overflow_rotations,
-                last_rotation_ms=self._last_rotation_ms,
-                active_leases=self._epoch.refcount
-                + sum(e.refcount for e in self._draining),
-                draining_epochs=len(self._draining),
-                repairs=self._repairs,
-            )
-
     def close(self) -> None:
-        """Stop the rotator and release every epoch segment (idempotent).
-
-        Shutdown overrides leases: a server tearing down must not leave
-        ``/dev/shm`` populated because a reader went away without
-        dropping its lease.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            thread = self._thread
-            to_release = [self._epoch] + [
-                e for e in self._draining if not e.released
-            ]
-            for epoch in to_release:
-                epoch.retired = True
-                epoch.released = True
-            self._draining.clear()
-        self._wake.set()
-        if thread is not None:
-            thread.join(timeout=5.0)
-        for epoch in to_release:
-            self._release_snapshot(epoch.snapshot)
+        """Reject every later mutation (idempotent)."""
+        self._closed = True
 
     def _check_open(self) -> None:
         if self._closed:
@@ -907,9 +272,7 @@ class EpochManager:
         self.close()
 
     def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"EpochManager(epoch={self._epoch.epoch_id}, "
-                f"delta_depth={self._delta.depth}, rotations={self._rotations}, "
-                f"shared={self._shared}{', closed' if self._closed else ''})"
-            )
+        return (
+            f"EpochManager(repairs={self._repairs}"
+            f"{', closed' if self._closed else ''})"
+        )

@@ -19,8 +19,6 @@ __all__ = [
     "InfeasibleQueryError",
     "IndexBuildError",
     "IndexUpdateError",
-    "SnapshotError",
-    "SnapshotAttachError",
     "EpochError",
     "RegistryError",
     "UnknownGraphError",
@@ -45,11 +43,10 @@ class GraphConstructionError(ReproError):
 class KeywordLabelError(GraphConstructionError, ValueError):
     """Raised when vertex keyword labels are not an iterable of strings.
 
-    Every label must be a non-empty ``str`` without NUL characters (the
-    CSR snapshot stores labels NUL-separated), and a bare string is
-    rejected rather than split into one label per character.  The graph
-    checks this before interning anything, so a rejected edit leaves
-    the graph unchanged.
+    Every label must be a non-empty ``str`` without NUL characters, and
+    a bare string is rejected rather than split into one label per
+    character.  The graph checks this before interning anything, so a
+    rejected edit leaves the graph unchanged.
     """
 
 
@@ -93,31 +90,12 @@ class IndexUpdateError(ReproError):
     """
 
 
-class SnapshotError(ReproError):
-    """Raised for invalid operations on a frozen CSR graph snapshot.
-
-    Examples: mutating through a :class:`repro.core.csr.CsrGraphView`,
-    sharing a snapshot that has already been released, or reading buffers
-    after :meth:`repro.core.csr.CsrSnapshot.close`.
-    """
-
-
-class SnapshotAttachError(SnapshotError):
-    """Raised when attaching to a shared CSR segment fails.
-
-    The canonical cause is attach-after-release: the owning engine has
-    already unlinked the segment (shutdown or ``graph.version`` bump) and
-    the name no longer resolves.
-    """
-
-
-class EpochError(SnapshotError):
-    """Raised for invalid operations on an epoch manager.
+class EpochError(ReproError):
+    """Raised for a mutation the serving layer cannot accept.
 
     Examples: mutating through a closed
-    :class:`repro.core.epoch.EpochManager`, or enabling epoch serving
-    on a service configuration that cannot support it (see
-    ``QueryService(mutations=True)``).
+    :class:`repro.core.epoch.EpochManager`, or mutating a read-only
+    service (one built without ``QueryService(mutations=True)``).
     """
 
 

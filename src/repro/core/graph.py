@@ -39,8 +39,8 @@ def component_labels(adjacency: Sequence[Iterable[int]]) -> list[int]:
     """Return a component id per vertex of *adjacency*.
 
     Ids are dense and numbered in order of each component's smallest
-    vertex, so any two adjacency views of the same graph (mutable sets,
-    a CSR view, an epoch view) get identical labels.
+    vertex, so any two adjacency views of the same graph get identical
+    labels.
     """
     component = [-1] * len(adjacency)
     next_id = 0
@@ -163,7 +163,6 @@ class AttributedGraph:
         "_keyword_table",
         "_num_edges",
         "_version",
-        "_csr_cache",
         # Weak-referenceable, so caches keyed on a graph need not pin it.
         "__weakref__",
     )
@@ -187,8 +186,6 @@ class AttributedGraph:
         # Monotonic counter bumped on every mutation; indexes use it to
         # detect that they are stale relative to the graph they indexed.
         self._version = 0
-        # Cached CsrSnapshot for the current version (see csr_snapshot()).
-        self._csr_cache = None
 
         for u, v in edges:
             self._insert_edge_checked(u, v)
@@ -454,27 +451,6 @@ class AttributedGraph:
         return vertex
 
     # ------------------------------------------------------------------
-    # Frozen snapshots (see repro.core.csr)
-    # ------------------------------------------------------------------
-    def csr_snapshot(self):
-        """Return the CSR snapshot of the current graph version.
-
-        Built lazily and cached; a mutation (:meth:`add_edge`,
-        :meth:`remove_edge`, :meth:`set_keywords`) bumps :attr:`version`,
-        which invalidates the cache so the next call rebuilds.  The
-        returned :class:`repro.core.csr.CsrSnapshot` is local (not
-        shared memory); promote it with ``snapshot.share()`` to hand it
-        to other processes.
-        """
-        from repro.core.csr import CsrSnapshot
-
-        cached = self._csr_cache
-        if cached is None or cached.graph_version != self._version:
-            cached = CsrSnapshot.from_graph(self)
-            self._csr_cache = cached
-        return cached
-
-    # ------------------------------------------------------------------
     # Interop & misc
     # ------------------------------------------------------------------
     def connected_components(self) -> list[int]:
@@ -537,22 +513,6 @@ class AttributedGraph:
             for node in nodes
         }
         return cls(len(nodes), edges, keywords)
-
-    def __getstate__(self) -> dict:
-        # The cached CsrSnapshot is process-local (it may wrap a shared
-        # memory mapping) and deliberately unpicklable; drop it so the
-        # graph itself stays cheap and safe to ship to process workers.
-        state = {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "__weakref__"
-        }
-        state["_csr_cache"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
     def __repr__(self) -> str:
         return (

@@ -5,9 +5,8 @@ as returned by :meth:`repro.core.graph.AttributedGraph.adjacency_view`)
 and use flat integer arrays instead of dicts, which is measurably faster
 for the thousands of BFS runs an index build performs.
 
-Callers always pass the graph's live ``adjacency_view()``.  On an
-:class:`repro.core.epoch.EpochGraphView` that is the base snapshot with
-the pending delta applied, so a traversal never reads a stale version.
+Callers always pass the graph's live ``adjacency_view()``, so a
+traversal never reads a stale version.
 """
 
 from __future__ import annotations

@@ -21,19 +21,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import Iterable
 
 from repro.core.graph import AttributedGraph
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.csr import CsrGraphView
-
-#: Graphs an oracle can be bound to: the mutable adjacency graph or a
-#: frozen CSR view (a local snapshot, or one attached from shared
-#: memory by name; see repro.core.csr).
-GraphLike = Union[AttributedGraph, "CsrGraphView"]
-
-__all__ = ["DistanceOracle", "OracleStats", "GraphLike"]
+__all__ = ["DistanceOracle", "OracleStats"]
 
 
 @dataclass
@@ -92,7 +84,7 @@ class DistanceOracle(abc.ABC):
     #: Short name used in benchmark output ("bfs", "nl", "nlrnl").
     name: str = "abstract"
 
-    def __init__(self, graph: GraphLike) -> None:
+    def __init__(self, graph: AttributedGraph) -> None:
         self.graph = graph
         self.stats = OracleStats()
         self._built_version = graph.version

@@ -13,7 +13,8 @@ import threading
 from collections import OrderedDict
 from typing import Optional
 
-from repro.index.base import DistanceOracle, GraphLike
+from repro.core.graph import AttributedGraph
+from repro.index.base import DistanceOracle
 
 __all__ = ["BFSOracle"]
 
@@ -24,8 +25,7 @@ class BFSOracle(DistanceOracle):
     Parameters
     ----------
     graph:
-        The attributed social network (or a frozen
-        :class:`~repro.core.csr.CsrGraphView`).
+        The attributed social network.
     cache_size:
         Maximum number of ``(vertex, k)`` frontier sets to memoise
         (the LRU budget; overflow evictions are counted in
@@ -33,15 +33,15 @@ class BFSOracle(DistanceOracle):
         (useful for measuring raw BFS cost in the oracle ablation
         bench).
 
-    Balls grow over ``graph.adjacency_view()``, so an oracle over an
-    :class:`~repro.core.epoch.EpochGraphView` sees its pending delta.
+    Balls grow over the live ``graph.adjacency_view()``, so a probe
+    always reads the graph as it is now.
     """
 
     name = "bfs"
 
     def __init__(
         self,
-        graph: GraphLike,
+        graph: AttributedGraph,
         cache_size: int = 1024,
     ) -> None:
         super().__init__(graph)

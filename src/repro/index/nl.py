@@ -30,7 +30,8 @@ from typing import Literal, Union
 
 from repro.core.errors import IndexBuildError
 from repro.index._traversal import bfs_levels
-from repro.index.base import DistanceOracle, GraphLike
+from repro.core.graph import AttributedGraph
+from repro.index.base import DistanceOracle
 
 __all__ = ["NLIndex", "choose_peak_level"]
 
@@ -86,7 +87,7 @@ class NLIndex(DistanceOracle):
 
     def __init__(
         self,
-        graph: GraphLike,
+        graph: AttributedGraph,
         depth: Union[int, Literal["auto"]] = "auto",
         rng: random.Random | None = None,
     ) -> None:

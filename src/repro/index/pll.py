@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import time
 
-from repro.index.base import DistanceOracle, GraphLike
+from repro.core.graph import AttributedGraph
+from repro.index.base import DistanceOracle
 
 __all__ = ["PLLIndex"]
 
@@ -48,7 +49,7 @@ class PLLIndex(DistanceOracle):
 
     name = "pll"
 
-    def __init__(self, graph: GraphLike) -> None:
+    def __init__(self, graph: AttributedGraph) -> None:
         super().__init__(graph)
         # _labels[v]: dict landmark -> distance.  Landmarks are vertex
         # ids; every vertex is its own landmark at distance 0 (stored

@@ -10,6 +10,7 @@ versions and reflect the structure the paper costs out (id lists).
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,7 +22,13 @@ from repro.index.nl import NLIndex
 from repro.index.nlrnl import NLRNLIndex
 from repro.index.pll import PLLIndex
 
-__all__ = ["IndexFootprint", "measure_footprint", "oracle_by_name", "ORACLE_FACTORIES"]
+__all__ = [
+    "IndexFootprint",
+    "adjacency_footprint_bytes",
+    "measure_footprint",
+    "oracle_by_name",
+    "ORACLE_FACTORIES",
+]
 
 #: Estimated cost of one stored neighbour id (CPython small-int pointer
 #: in a set, amortised with set over-allocation).
@@ -102,3 +109,18 @@ def measure_footprint(
         estimated_bytes=oracle.stats.entries * _BYTES_PER_ENTRY,
         build_seconds=build_seconds,
     )
+
+
+def adjacency_footprint_bytes(graph: AttributedGraph) -> int:
+    """Estimate the resident bytes of the graph's ``list[set[int]]`` adjacency.
+
+    Sums ``sys.getsizeof`` over the outer list and every neighbour set,
+    plus 28 bytes per stored endpoint for the boxed ints themselves
+    (small-int interning makes this an upper bound on real graphs).
+    Printed by ``ktg stats`` beside the index footprints.
+    """
+    adjacency = graph.adjacency_view()
+    total = sys.getsizeof(adjacency)
+    for row in adjacency:
+        total += sys.getsizeof(row) + 28 * len(row)
+    return total

@@ -36,7 +36,8 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Sequence
 
-from repro.index.base import DistanceOracle, GraphLike
+from repro.core.graph import AttributedGraph
+from repro.index.base import DistanceOracle
 from repro.kernels import vec
 from repro.obs.instruments import NULL_REGISTRY, InstrumentRegistry
 
@@ -75,9 +76,7 @@ class BallBitsetEngine:
         read them without a live registry.
 
     A missed ball is ``oracle.within_k(vertex, k)`` packed into an int,
-    so every ball reads the oracle's graph as it is now (on an
-    :class:`~repro.core.epoch.EpochGraphView`, the snapshot plus its
-    pending delta).  Balls are packed and wide masks decoded by the
+    so every ball reads the oracle's graph as it is now.  Balls are packed and wide masks decoded by the
     numpy kernels of :mod:`repro.kernels.vec` when numpy is importable
     at construction (``backend == "numpy"``) and by their pure-python
     twins otherwise.  Both are bit-identical by construction; each
@@ -126,7 +125,7 @@ class BallBitsetEngine:
 
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> GraphLike:
+    def graph(self) -> AttributedGraph:
         return self.oracle.graph
 
     def counters(self) -> dict[str, int]:
@@ -210,7 +209,7 @@ class BallBitsetEngine:
         return self.ball(vertex, k) | (1 << vertex)
 
     # ------------------------------------------------------------------
-    # Dynamic maintenance (epoch mode)
+    # Dynamic maintenance (mutable services)
     # ------------------------------------------------------------------
     def apply_edge_update(self, u: int, v: int) -> None:
         """Selective eviction after the edge ``(u, v)`` was added/removed.

@@ -472,8 +472,8 @@ class KTGServer:
         if not isinstance(name, str) or not name:
             raise HttpError(400, "'name' must be a non-empty string")
         try:
-            # close() drains the tenant's pools and releases any shared
-            # segments — solver-pool work, not event-loop work.
+            # close() drains the tenant's worker pools — solver-pool
+            # work, not event-loop work.
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(
                 self._solver_pool, functools.partial(registry.drop, name)
@@ -669,15 +669,15 @@ class KTGServer:
         )
 
     # ------------------------------------------------------------------
-    # Mutation path (epoch-mode services)
+    # Mutation path (mutations=True services)
     # ------------------------------------------------------------------
     async def _handle_mutate(self, request: HttpRequest) -> bytes:
-        """Apply one graph mutation through the service's epoch manager.
+        """Apply one graph mutation through the service's mutation gate.
 
         Requires a ``QueryService(..., mutations=True)`` service; against
         a read-only one the :class:`~repro.core.errors.EpochError` the
         service raises surfaces as a 400 via the generic ``ReproError``
-        handler.  The apply may wait on the epoch write gate (draining
+        handler.  The apply may wait on the write gate (draining
         in-flight solves), so it runs in the solver pool — the event
         loop never blocks.
         """
@@ -715,14 +715,10 @@ class KTGServer:
         started = time.perf_counter()
         new_vertex = await loop.run_in_executor(self._solver_pool, apply)
         self._mutations.inc()
-        epoch_stats = service.epochs.stats()
         body = {
             "op": op,
             "applied": True,
             "graph_version": service.graph.version,
-            "epoch_id": epoch_stats.epoch_id,
-            "delta_depth": epoch_stats.delta_depth,
-            "rotations": epoch_stats.rotations,
             "latency_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
         if op == "add_vertex":

@@ -14,16 +14,17 @@ checks every serving behaviour the front end promises, end to end:
 5. a request whose deadline already expired gets a 503 degraded
    response;
 6. ``GET /stats`` exports the server counters;
-7. shutdown is clean: thread count returns to its pre-server baseline
-   and no ``/dev/shm`` shared-memory segments are left behind.
+7. shutdown is clean: thread count returns to its pre-server baseline.
 
 ``python -m repro.server.smoke --churn`` runs the serve-during-mutation
-lane instead: the server boots in epoch mode (``mutations=True`` with
-shared-memory snapshots), a driver thread streams ``POST /mutate`` edge
-edits while the foreground fires solves, and the run asserts zero 5xx
-responses, at least one observed epoch rotation, a read-only control
-server rejecting ``/mutate`` with 400, and the same thread/shm leak
-checks on the way out.
+lane instead: the server boots a ``mutations=True`` service, a driver
+thread streams ``POST /mutate`` edge edits while the foreground fires
+solves, and the run asserts zero 5xx responses and a read-only control
+server rejecting ``/mutate`` with 400.  Then one ``/mutate`` joins two
+members of a served group, and the next ``/solve`` of that query must
+answer differently and pass the Definitions 3-7 audit
+(:mod:`repro.core.validate`) on the mutated graph.  The same thread
+leak check runs on the way out.
 
 ``python -m repro.server.smoke --registry`` runs the multi-graph lane:
 a registry-backed server has two same-dataset tenants loaded over the
@@ -31,21 +32,23 @@ wire, interleaved solves must never share a cache entry or a coalesced
 solve across tenants, every tenant must answer the same groups,
 ``/graphs`` list/load/drop and ``/stats?graph=`` are exercised, a load
 naming an unknown algorithm is rejected with 400 without disturbing
-the server, a dropped tenant answers 404, and the same thread/shm leak
-checks run on the way out.
+the server, a dropped tenant answers 404, and the same thread leak
+check runs on the way out.
 
 Exit code 0 on success, 1 with a diagnostic on the first failure.
 """
 
 from __future__ import annotations
 
-import glob
 import random
 import sys
 import threading
 import time
 
+from repro.core.branch_and_bound import KTGResult
 from repro.core.query import KTGQuery
+from repro.core.results import Group
+from repro.core.validate import ResultValidationError, validate_ktg_result
 from repro.datasets.registry import load_dataset
 from repro.obs.instruments import InstrumentRegistry
 from repro.server.app import KTGServer
@@ -55,10 +58,6 @@ from repro.service.registry import GraphRegistry
 from repro.service.service import QueryService
 
 __all__ = ["main", "churn_main", "registry_main"]
-
-
-def _shm_segments() -> set[str]:
-    return set(glob.glob("/dev/shm/psm_*"))
 
 
 def _query_payload(labels: tuple[str, ...], tenuity: int = 2) -> dict:
@@ -82,7 +81,6 @@ def main() -> int:
         return 1
 
     baseline_threads = threading.active_count()
-    baseline_shm = _shm_segments()
 
     graph, _ = load_dataset("brightkite", scale=0.08)
     labels = tuple(sorted(graph.keyword_table))
@@ -200,11 +198,6 @@ def main() -> int:
         return fail("shutdown-threads", f"threads leaked: {leftover}")
     ok("no leaked threads after shutdown")
 
-    leaked = _shm_segments() - baseline_shm
-    if leaked:
-        return fail("shutdown-shm", f"leaked segments: {sorted(leaked)}")
-    ok("no leaked /dev/shm segments")
-
     print(f"server smoke: all {len(checks)} checks passed")
     return 0
 
@@ -213,10 +206,10 @@ def churn_main() -> int:
     """The ``--churn`` lane: serve while the graph mutates underneath.
 
     Asserts the serve-during-mutation contract end to end over the
-    wire: zero 5xx responses while edges stream in, at least one epoch
-    rotation observed through ``/stats``, mutation effects visible in
-    the serving state (graph version moves, answers stay 200/exact),
-    and a clean shutdown with no leaked threads or shm segments.
+    wire: zero 5xx responses while edges stream in, a mutation that
+    changes a query's answer is visible to the next solve (which passes
+    the result audit on the mutated graph), and a clean shutdown with
+    no leaked threads.
     """
     checks: list[str] = []
 
@@ -229,7 +222,6 @@ def churn_main() -> int:
         return 1
 
     baseline_threads = threading.active_count()
-    baseline_shm = _shm_segments()
 
     graph, _ = load_dataset("brightkite", scale=0.08)
     labels = tuple(sorted(graph.keyword_table))
@@ -239,9 +231,6 @@ def churn_main() -> int:
         "KTG-VKC-NLRNL",
         max_workers=4,
         mutations=True,
-        epoch_rotate_after=8,
-        epoch_max_delta=64,
-        epoch_shared=True,
         instruments=registry,
     )
     server = KTGServer(service, max_inflight=16, instruments=registry)
@@ -302,20 +291,53 @@ def churn_main() -> int:
         ok(f"zero 5xx across {mutations} mutations and {solves} solves")
 
         status, body = http_request(host, port, "GET", "/stats")
-        if status != 200 or not body or "epoch" not in body:
-            return fail("stats-epoch", f"status={status} body={body}")
-        epoch = body["epoch"]
-        if epoch.get("rotations", 0) < 1:
-            return fail("rotation", f"no epoch rotation observed: {epoch}")
-        ok(f"observed {epoch['rotations']} epoch rotations (epoch {epoch['epoch_id']})")
+        if status != 200 or not body:
+            return fail("stats", f"status={status} body={body}")
         counters = body["server"].get("counters", {})
         if counters.get("server.mutations", 0) != mutations:
             return fail("mutate-counter", f"counters={counters}")
         ok("server.mutations counter matches the driven stream")
-        service_stats = body.get("service", {})
-        if "epoch_id" not in service_stats:
-            return fail("stats-service", f"service stats lack epoch fields: {service_stats}")
-        ok("service stats export epoch id / delta depth")
+
+        # A mutation the next solve must see: join two members of a
+        # served group.  They were more than ``tenuity`` hops apart, so
+        # the edge makes that group infeasible and the answer changes.
+        for start in range(max(1, len(labels) - 2)):
+            payload = _query_payload(labels[start:start + 3])
+            status, before = http_request(host, port, "POST", "/solve", payload)
+            if status != 200:
+                return fail("visible-solve", f"status={status} body={before}")
+            if before["groups"]:
+                break
+        else:
+            return fail("visible-solve", "no query window has a group")
+        u, v = before["groups"][0]["members"][:2]
+        status, body = http_request(
+            host, port, "POST", "/mutate", {"op": "add_edge", "u": u, "v": v}
+        )
+        if status != 200 or body.get("graph_version") != graph.version:
+            return fail("visible-mutate", f"status={status} body={body}")
+        status, after = http_request(host, port, "POST", "/solve", payload)
+        if status != 200 or after["from_cache"] or after["groups"] == before["groups"]:
+            return fail("visible-answer", f"before={before} after={after}")
+        query = KTGQuery(
+            keywords=tuple(payload["keywords"]),
+            group_size=payload["group_size"],
+            tenuity=payload["tenuity"],
+            top_n=payload["top_n"],
+        )
+        served = KTGResult(
+            query=query,
+            algorithm=after["algorithm"],
+            groups=[
+                Group.make(group["members"], group["coverage"])
+                for group in after["groups"]
+            ],
+        )
+        try:
+            validate_ktg_result(graph, served)
+        except ResultValidationError as exc:
+            return fail("visible-audit", str(exc))
+        ok("a mutation changes the next solve's answer, which passes the audit")
 
     service.close()
 
@@ -326,11 +348,6 @@ def churn_main() -> int:
         leftover = [t.name for t in threading.enumerate()]
         return fail("shutdown-threads", f"threads leaked: {leftover}")
     ok("no leaked threads after shutdown")
-
-    leaked = _shm_segments() - baseline_shm
-    if leaked:
-        return fail("shutdown-shm", f"leaked segments: {sorted(leaked)}")
-    ok("no leaked /dev/shm segments")
 
     print(f"churn smoke: all {len(checks)} checks passed")
     return 0
@@ -343,7 +360,7 @@ def registry_main() -> int:
     cross-tenant cache hits or coalesced solves even for byte-identical
     queries over identical graphs), the ``/graphs`` lifecycle endpoints
     work, a bad load is a clean 400, a dropped tenant is gone, and
-    shutdown leaks neither threads nor shm.
+    shutdown leaks no threads.
     """
     checks: list[str] = []
 
@@ -356,7 +373,6 @@ def registry_main() -> int:
         return 1
 
     baseline_threads = threading.active_count()
-    baseline_shm = _shm_segments()
 
     graph, _ = load_dataset("brightkite", scale=0.08)
     labels = tuple(sorted(graph.keyword_table))
@@ -496,11 +512,6 @@ def registry_main() -> int:
         leftover_threads = [t.name for t in threading.enumerate()]
         return fail("shutdown-threads", f"threads leaked: {leftover_threads}")
     ok("no leaked threads after shutdown")
-
-    leaked = _shm_segments() - baseline_shm
-    if leaked:
-        return fail("shutdown-shm", f"leaked segments: {sorted(leaked)}")
-    ok("no leaked /dev/shm segments")
 
     print(f"registry smoke: all {len(checks)} checks passed")
     return 0

@@ -2,7 +2,7 @@
 
 One process can now serve several tenants: each registered graph gets
 its own :class:`~repro.service.QueryService` (own result cache, own
-solver engines, own epoch manager when mutable) and a **stable
+solver engines, own mutation gate when mutable) and a **stable
 ``graph_id``** of the form ``"{name}#{generation}"``.  The generation
 counter bumps every time a name is (re)loaded, so a dropped-and-
 reloaded tenant can never be served another incarnation's cached

@@ -28,9 +28,11 @@ Thread-safety: concurrent ``submit``/``run_batch`` calls are safe —
 every lazily initialized shared structure (oracle, kernel, worker
 pools, stats) is built and mutated under a lock, so racing callers
 converge on one oracle and one worker pool.  Mutating the graph
-concurrently with in-flight queries is not — mutate between batches
-(the next call observes the new version, rebuilds the oracle and
-re-keys the cache).
+concurrently with in-flight queries is safe only on a
+``mutations=True`` service, whose :class:`repro.core.epoch.EpochManager`
+gate orders each mutation between solves and repairs the oracle in
+place; on a read-only service, mutate between batches (the next call
+observes the new version, rebuilds the oracle and re-keys the cache).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from repro.core.dktg import DKTGResult
 from repro.core.branch_and_bound import KTGResult
-from repro.core.epoch import DEFAULT_MAX_DELTA, DEFAULT_ROTATE_AFTER, EpochManager
+from repro.core.epoch import EpochManager
 from repro.core.errors import EpochError
 from repro.core.graph import AttributedGraph
 from repro.core.query import DKTGQuery, KTGQuery
@@ -129,16 +131,14 @@ class ServiceStats:
     p95_ms: float
     p99_ms: float
     latency_sample_size: int = 0
-    #: Epoch-mode serving state (``mutations=True`` services only; all
-    #: ``None`` otherwise and omitted from :meth:`as_dict`).
-    epoch_id: Optional[int] = None
-    delta_depth: Optional[int] = None
-    epoch_rotations: Optional[int] = None
+    #: Always ``None``: nothing rotates any more.  ``perfbench/run.py``
+    #: still reads it; the next benchmark change drops it (ROADMAP
+    #: item 8).
     last_rotation_ms: Optional[float] = None
 
     def as_dict(self) -> dict:
         """Flat dict for table/CSV rendering and bench ``extra_info``."""
-        out = {
+        return {
             "queries_served": self.queries_served,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -151,12 +151,6 @@ class ServiceStats:
             "p99_ms": round(self.p99_ms, 3),
             "latency_sample_size": self.latency_sample_size,
         }
-        if self.epoch_id is not None:
-            out["epoch_id"] = self.epoch_id
-            out["delta_depth"] = self.delta_depth
-            out["epoch_rotations"] = self.epoch_rotations
-            out["last_rotation_ms"] = round(self.last_rotation_ms or 0.0, 3)
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +236,10 @@ class QueryService:
         **reused across queries** with the same tenuity ``k`` — the
         second query over the same keyword universe skips every ball
         rebuild.  Results are bit-identical either way.
+    mutations:
+        Accept graph mutations (:meth:`add_edge` and friends) while
+        serving; each one waits for in-flight solves and repairs the
+        oracle and kernel in place.  Requires ``executor="thread"``.
     instruments:
         An :class:`repro.obs.instruments.InstrumentRegistry` collecting
         per-phase latency histograms (``service.cache_lookup_ms``,
@@ -277,10 +275,6 @@ class QueryService:
         cache_capacity: int = 1024,
         distance_engine: str = "oracle",
         mutations: bool = False,
-        epoch_rotate_after: int = DEFAULT_ROTATE_AFTER,
-        epoch_max_delta: int = DEFAULT_MAX_DELTA,
-        epoch_shared: bool = False,
-        epoch_rotate_sync: bool = False,
         instruments: InstrumentRegistry = NULL_REGISTRY,
     ) -> None:
         if max_workers < 1:
@@ -326,25 +320,17 @@ class QueryService:
         self._degraded_answers = 0
         self._pool: Optional[Union[ThreadPoolExecutor, ProcessPoolExecutor]] = None
         self._pool_graph_version: Optional[int] = None
-        # Instruments are resolved once; against the null sink every
-        # observe/inc below is a no-op method call.
-        # Epoch mode: mutations route through an EpochManager that keeps
-        # the live graph, the shared oracle and the kernel in lockstep
-        # (incremental repairs) and rotates CSR snapshots in the
-        # background.  Solves hold the manager's read gate so a delta
-        # apply never interleaves with an in-flight search.
+        # Mutable services route mutations through an EpochManager that
+        # keeps the live graph, the shared oracle and the kernel in
+        # lockstep (incremental repairs).  Solves hold the manager's
+        # read gate so a mutation never interleaves with a search.
         self.mutations = mutations
         self._epochs: Optional[EpochManager] = None
         if mutations:
-            self._epochs = EpochManager(
-                graph,
-                rotate_after=epoch_rotate_after,
-                max_delta=epoch_max_delta,
-                shared=epoch_shared,
-                rotate_sync=epoch_rotate_sync,
-                instruments=instruments,
-            )
+            self._epochs = EpochManager(graph, instruments=instruments)
             self._epochs.set_repair_targets(self._live_oracle, self._live_kernel)
+        # Instruments are resolved once; against the null sink every
+        # observe/inc below is a no-op method call.
         self.instruments = instruments
         self._cache_lookup_timer = instruments.timer("service.cache_lookup_ms")
         self._solve_timer = instruments.timer("service.solve_ms")
@@ -420,11 +406,11 @@ class QueryService:
         return list(pool.map(lambda q: self._serve_one(q, tb, nb), lifted))
 
     # ------------------------------------------------------------------
-    # Mutation (epoch mode)
+    # Mutation (mutations=True services)
     # ------------------------------------------------------------------
     @property
     def epochs(self) -> EpochManager:
-        """The epoch manager (mutations mode only).
+        """The mutation gate (mutations mode only).
 
         Raises :class:`repro.core.errors.EpochError` on a read-only
         service — the server maps that to a 400, so a stray ``/mutate``
@@ -438,11 +424,11 @@ class QueryService:
         return self._epochs
 
     def add_edge(self, u: int, v: int) -> None:
-        """Insert edge ``(u, v)``: delta-buffered, index-repaired."""
+        """Insert edge ``(u, v)`` and repair the index in place."""
         self.epochs.add_edge(u, v)
 
     def remove_edge(self, u: int, v: int) -> None:
-        """Delete edge ``(u, v)``: delta-buffered, index-repaired."""
+        """Delete edge ``(u, v)`` and repair the index in place."""
         self.epochs.remove_edge(u, v)
 
     def set_keywords(self, vertex: int, labels: Iterable[str]) -> None:
@@ -477,13 +463,6 @@ class QueryService:
             served = self._queries_served
             degraded = self._degraded_answers
         cache_stats = self.cache.stats.snapshot()
-        epoch_id = delta_depth = rotations = last_rotation_ms = None
-        if self._epochs is not None:
-            epoch_stats = self._epochs.stats()
-            epoch_id = epoch_stats.epoch_id
-            delta_depth = epoch_stats.delta_depth
-            rotations = epoch_stats.rotations
-            last_rotation_ms = epoch_stats.last_rotation_ms
         return ServiceStats(
             queries_served=served,
             cache_hits=cache_stats.hits,
@@ -496,10 +475,6 @@ class QueryService:
             p95_ms=percentile_nearest_rank(sample, 0.95),
             p99_ms=percentile_nearest_rank(sample, 0.99),
             latency_sample_size=len(sample),
-            epoch_id=epoch_id,
-            delta_depth=delta_depth,
-            epoch_rotations=rotations,
-            last_rotation_ms=last_rotation_ms,
         )
 
     def instrument_report(self) -> dict:
@@ -536,15 +511,7 @@ class QueryService:
                 **kernel.counters(),
             }
         if self._epochs is not None:
-            from repro.core.epoch import counter_totals as epoch_counter_totals
-
-            # Manager-scoped stats win on shared keys (rotations,
-            # repairs); the process-wide totals contribute the
-            # counters only they track (delta_reads, lease_waits).
-            report["epoch"] = {
-                **epoch_counter_totals(),
-                **self._epochs.stats().as_dict(),
-            }
+            report["epoch"] = {"repairs": self._epochs.repairs}
         if self.instruments.enabled:
             report["instruments"] = self.instruments.report()
         return report
@@ -617,9 +584,9 @@ class QueryService:
         time_budget: Optional[float],
         node_budget: Optional[int],
     ) -> ServiceResult:
-        # Epoch mode: the whole serve (key computation included — it
-        # reads graph.version) runs under the manager's read gate, so no
-        # delta apply can interleave with an in-flight search.  Reads
+        # Mutable services: the whole serve (key computation included —
+        # it reads graph.version) runs under the manager's read gate, so
+        # no mutation can interleave with an in-flight search.  Reads
         # are shared; only the brief mutation applies exclude them.
         if self._epochs is not None:
             with self._epochs.read():

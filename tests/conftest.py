@@ -7,7 +7,6 @@ against BFS ground truth, which needs full-graph scans.
 
 from __future__ import annotations
 
-import glob
 import random
 
 import pytest
@@ -70,18 +69,3 @@ def make_random_attributed_graph(
 @pytest.fixture
 def random_graph():
     return make_random_attributed_graph(seed=7)
-
-
-@pytest.fixture(autouse=True, scope="session")
-def no_leaked_shared_memory():
-    """Fail the session if any test leaks a shared-memory segment.
-
-    The CSR fan-out protocol promises deterministic segment release
-    (engine ``close()`` / version-bump teardown); a stray ``psm_*``
-    entry in ``/dev/shm`` after the run means an owner never unlinked.
-    Linux-only: other platforms have no /dev/shm to inspect.
-    """
-    before = set(glob.glob("/dev/shm/psm_*"))
-    yield
-    leaked = set(glob.glob("/dev/shm/psm_*")) - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"

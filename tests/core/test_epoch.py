@@ -1,275 +1,353 @@
-"""Lifecycle tests for :mod:`repro.core.epoch`.
+"""Mutation tests for :mod:`repro.core.epoch` and mutable services.
 
-The rotation protocol's edge cases, each exercised directly against an
-:class:`EpochManager`:
-
-* a mutation landing *while* a rotation is compacting the delta (the
-  tail-replay path);
-* a reader lease pinning an epoch across two rotations (retired but not
-  released until the lease drops);
-* attaching to a released shared epoch raising
-  :class:`SnapshotAttachError`;
-* delta-buffer overflow forcing a synchronous rotation on the mutating
-  thread when the background rotator cannot keep up.
-
-The snapshot/attach lifecycle itself (ownership, double-release, byte
-layout) is covered in ``tests/core/test_csr.py``; these tests pin the
-epoch layer on top of it.
+* the write gate: a mutation issued while a solve holds the read side
+  waits for that solve; a waiting writer blocks new readers; the next
+  solve after a mutation reads the new graph version;
+* mutation validation against the live graph and a closed manager;
+* service parity: a ``QueryService(mutations=True)`` that mutates
+  between solves answers bit-identically (ranked groups *and*
+  ``SearchStats``) to a fresh service over the equally mutated graph,
+  across ordering strategy and distance engine.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.csr import CsrSnapshot
-from repro.core.epoch import EpochManager, GraphDelta
-from repro.core.errors import (
-    EpochError,
-    GraphConstructionError,
-    SnapshotAttachError,
-)
+from repro.core.epoch import EpochManager
+from repro.core.errors import EpochError, GraphConstructionError
+from repro.core.graph import AttributedGraph
+from repro.core.query import KTGQuery
+from repro.core.validate import validate_ktg_result
+from repro.index.nlrnl import NLRNLIndex
+from repro.service.service import QueryService
 from tests.conftest import make_random_attributed_graph
+
+#: Upper bound on any single wait; the tests never sleep this long on a
+#: correct gate.
+TIMEOUT = 10.0
+
+KEYWORD_POOL = ["a", "b", "c", "d", "e", "f"]
+
+ALGORITHMS = ["KTG-QKC-NLRNL", "KTG-VKC-NLRNL", "KTG-VKC-DEG-NLRNL"]
 
 
 def fresh_graph(seed: int = 3):
     return make_random_attributed_graph(num_vertices=18, seed=seed)
 
 
-def edge_flips(graph, count: int, seed: int = 0):
-    """A deterministic stream of valid add/remove edge targets."""
-    import random
-
-    rng = random.Random(seed)
-    n = graph.num_vertices
-    for _ in range(count):
-        u, v = rng.sample(range(n), 2)
-        yield u, v
-
-
-def apply_flip(manager, u: int, v: int) -> None:
-    if manager.graph.has_edge(u, v):
-        manager.remove_edge(u, v)
-    else:
-        manager.add_edge(u, v)
-
-
-def assert_version_invariant(manager) -> None:
-    """snapshot version + delta depth must always equal the live version."""
-    with manager._lock:
-        snapshot_version = manager._epoch.snapshot.graph_version
-        depth = manager._delta.depth
-    assert snapshot_version + depth == manager.graph.version
-
-
-# ----------------------------------------------------------------------
-# Mutation arriving mid-rebuild
-# ----------------------------------------------------------------------
-def test_mutation_during_rotation_lands_in_next_delta(monkeypatch):
-    """An edit applied while compaction runs is replayed into the new
-    epoch's delta — never lost, never double-applied."""
-    graph = fresh_graph()
-    manager = EpochManager(graph, rotate_after=64, max_delta=256)
-
-    compacting = threading.Event()
-    resume = threading.Event()
-    original = CsrSnapshot.from_graph.__func__
-
-    def stalling_from_graph(cls, source, **kwargs):
-        snapshot = original(cls, source, **kwargs)
-        if compacting.is_set() is False and isinstance(
-            source, type(manager.view())
-        ):
-            compacting.set()
-            assert resume.wait(timeout=5.0)
-        return snapshot
-
-    monkeypatch.setattr(
-        CsrSnapshot, "from_graph", classmethod(stalling_from_graph)
+def clone_graph(graph):
+    return AttributedGraph(
+        graph.num_vertices,
+        graph.edges(),
+        keywords={v: graph.keyword_labels(v) for v in range(graph.num_vertices)},
     )
 
-    for u, v in edge_flips(graph, 5, seed=1):
-        apply_flip(manager, u, v)
-    depth_before = manager.stats().delta_depth
-    assert depth_before == 5
 
-    rotator = threading.Thread(target=manager.rotate, name="test-rotator")
-    rotator.start()
-    assert compacting.wait(timeout=5.0)
+def ranked_groups(result):
+    return [(group.members, round(group.coverage, 12)) for group in result.groups]
 
-    # The rotation thread is inside from_graph; this mutation must land
-    # in the live graph immediately and survive into the next delta.
-    mid_u, mid_v = next(edge_flips(graph, 1, seed=99))
-    version_before = graph.version
-    apply_flip(manager, mid_u, mid_v)
-    assert graph.version == version_before + 1
 
-    resume.set()
-    rotator.join(timeout=5.0)
-    assert not rotator.is_alive()
+def comparable_stats(stats):
+    """SearchStats minus wall-clock (the only serving-dependent field)."""
+    return dataclasses.replace(stats, elapsed_seconds=0.0)
 
-    stats = manager.stats()
-    assert stats.rotations == 1
-    # The compaction cut was taken before the mid-rebuild edit: exactly
-    # that one op remains in the new delta.
-    assert stats.delta_depth == 1
-    assert_version_invariant(manager)
 
-    # The composite view agrees with the live graph everywhere.
-    view = manager.view()
-    for vertex in graph.vertices():
-        assert view.neighbors(vertex) == graph.neighbors(vertex)
-        assert view.keywords_of(vertex) == graph.keywords_of(vertex)
-    manager.close()
+def wait_until(predicate) -> None:
+    deadline = time.monotonic() + TIMEOUT
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.001)
+
+
+def gate_query(graph) -> KTGQuery:
+    labels = sorted(graph.keyword_table)[:3]
+    return KTGQuery(keywords=tuple(labels), group_size=2, tenuity=1, top_n=2)
+
+
+def answer_breaking_edge(graph, query):
+    """An absent edge inside the best group: adding it puts two members
+    within ``k`` hops, so the group stops being tenuous."""
+    with QueryService(graph) as service:
+        best = service.submit(query).result.groups[0].members
+    u, v = best[0], best[1]
+    assert not graph.has_edge(u, v)
+    return u, v
 
 
 # ----------------------------------------------------------------------
-# Lease across rotations
+# The write gate
 # ----------------------------------------------------------------------
-def test_lease_pins_epoch_across_two_rotations():
+def test_mutation_waits_for_the_solve_holding_the_read_side():
+    graph = make_random_attributed_graph(num_vertices=30, seed=5)
+    query = gate_query(graph)
+    u, v = answer_breaking_edge(graph, query)
+    before = clone_graph(graph)
+
+    oracle = NLRNLIndex(graph)
+    in_solve, release = threading.Event(), threading.Event()
+    filter_candidates = oracle.filter_candidates
+
+    def blocking_filter(*args, **kwargs):
+        # Park the first solve mid-search, holding the read side.
+        if not in_solve.is_set():
+            in_solve.set()
+            assert release.wait(TIMEOUT)
+        return filter_candidates(*args, **kwargs)
+
+    oracle.filter_candidates = blocking_filter
+    served = []
+    with QueryService(graph, oracle=oracle, mutations=True) as service:
+        solve = threading.Thread(target=lambda: served.append(service.submit(query)))
+        solve.start()
+        assert in_solve.wait(TIMEOUT)
+        version = graph.version
+        mutate = threading.Thread(target=service.add_edge, args=(u, v))
+        mutate.start()
+        wait_until(lambda: service.epochs._gate._writers_waiting == 1)
+        assert graph.version == version and not graph.has_edge(u, v)
+        release.set()
+        solve.join(TIMEOUT)
+        mutate.join(TIMEOUT)
+        assert not solve.is_alive() and not mutate.is_alive()
+    assert graph.has_edge(u, v) and graph.version == version + 1
+    # The parked solve finished on the graph it started on.
+    with QueryService(before) as reference:
+        expected = reference.submit(query).result
+    assert ranked_groups(served[0].result) == ranked_groups(expected)
+
+
+def test_waiting_writer_blocks_new_readers():
     graph = fresh_graph()
-    manager = EpochManager(
-        graph, rotate_after=4, max_delta=64, shared=True, rotate_sync=True
+    u, v = next(
+        (a, b) for a in graph.vertices() for b in graph.vertices()
+        if a < b and not graph.has_edge(a, b)
     )
-    segment = manager.segment_name()
-    assert segment is not None
+    manager = EpochManager(graph)
+    seen_by_late_reader = []
 
-    with manager.lease() as pinned:
-        assert pinned.epoch_id == 0
-        flips = edge_flips(graph, 8, seed=2)
-        for u, v in flips:
-            apply_flip(manager, u, v)
-        stats = manager.stats()
-        assert stats.rotations == 2
-        assert stats.epoch_id == 2
-        # Epoch 0 is retired but pinned: still attachable, counted as
-        # draining, not yet released.
-        assert pinned.retired and not pinned.released
-        assert stats.active_leases == 1
-        assert stats.draining_epochs >= 1
-        attached = CsrSnapshot.attach(segment)
-        assert bytes(attached._buf) == bytes(pinned.snapshot._buf)
-        attached.close()
+    def late_reader():
+        with manager.read():
+            seen_by_late_reader.append(graph.has_edge(u, v))
 
-    # Lease dropped: the retired epoch's shared segment is gone.
-    assert pinned.released
-    with pytest.raises(SnapshotAttachError):
-        CsrSnapshot.attach(segment)
-    final = manager.stats()
-    assert final.active_leases == 0
-    assert final.draining_epochs == 0
-    manager.close()
+    with manager.read():
+        writer = threading.Thread(target=manager.add_edge, args=(u, v))
+        writer.start()
+        wait_until(lambda: manager._gate._writers_waiting == 1)
+        reader = threading.Thread(target=late_reader)
+        reader.start()
+        # A reader-priority gate would admit the late reader beside us.
+        reader.join(0.2)
+        assert reader.is_alive() and seen_by_late_reader == []
+    writer.join(TIMEOUT)
+    reader.join(TIMEOUT)
+    # The writer went first: the late reader saw the new edge.
+    assert seen_by_late_reader == [True]
 
 
-def test_attach_to_released_epoch_raises():
-    """Without a lease, rotation releases the old shared segment at
-    once — a late attach must fail loudly, not read freed memory."""
-    graph = fresh_graph()
-    manager = EpochManager(
-        graph, rotate_after=2, max_delta=64, shared=True, rotate_sync=True
-    )
-    stale_name = manager.segment_name()
-    for u, v in edge_flips(graph, 2, seed=4):
-        apply_flip(manager, u, v)
-    assert manager.stats().rotations == 1
-    assert manager.segment_name() != stale_name
-    with pytest.raises(SnapshotAttachError):
-        CsrSnapshot.attach(stale_name)
-    manager.close()
+def test_next_solve_after_a_mutation_sees_it():
+    graph = make_random_attributed_graph(num_vertices=30, seed=5)
+    query = gate_query(graph)
+    u, v = answer_breaking_edge(graph, query)
+    with QueryService(graph, mutations=True) as service:
+        first = service.submit(query)
+        old_key = service.cache_key(query)
+        assert service.submit(query).from_cache
+        service.add_edge(u, v)
+        assert service.cache_key(query) != old_key
+        assert service.cache_key(query)[1] == graph.version
+        after = service.submit(query)
+    assert not after.from_cache
+    assert ranked_groups(after.result) != ranked_groups(first.result)
+    validate_ktg_result(graph, after.result)
+    with QueryService(clone_graph(graph)) as fresh:
+        expected = fresh.submit(query).result
+    assert ranked_groups(after.result) == ranked_groups(expected)
 
 
 # ----------------------------------------------------------------------
-# Overflow backpressure
-# ----------------------------------------------------------------------
-def test_delta_overflow_forces_synchronous_rotation(monkeypatch):
-    graph = fresh_graph()
-    manager = EpochManager(graph, rotate_after=2, max_delta=6)
-    # Simulate a wedged background rotator: threshold wakeups go nowhere,
-    # so only the max_delta backstop can compact.
-    monkeypatch.setattr(manager, "_ensure_rotator", lambda: None)
-
-    for u, v in edge_flips(graph, 13, seed=5):
-        apply_flip(manager, u, v)
-
-    stats = manager.stats()
-    assert stats.overflow_rotations >= 2
-    assert stats.rotations == stats.overflow_rotations
-    assert stats.delta_depth < 6
-    assert_version_invariant(manager)
-    manager.close()
-
-
-# ----------------------------------------------------------------------
-# Smaller guarantees the above rely on
+# Validation and lifecycle
 # ----------------------------------------------------------------------
 def test_mutations_validate_against_live_graph():
     graph = fresh_graph()
-    with EpochManager(graph, rotate_sync=True) as manager:
+    with EpochManager(graph) as manager:
         u, v = next(iter(graph.edges()))
         with pytest.raises(GraphConstructionError):
             manager.add_edge(u, v)  # duplicate
         with pytest.raises(GraphConstructionError):
             manager.add_edge(u, u)  # self-loop
+        version = graph.version
         manager.remove_edge(u, v)
         with pytest.raises(GraphConstructionError):
             manager.remove_edge(u, v)  # already gone
-        assert_version_invariant(manager)
+        assert graph.version == version + 1
 
 
-def test_add_vertex_grows_view_and_delta():
+def test_add_vertex_then_connect_it():
     graph = fresh_graph()
     with EpochManager(graph) as manager:
         before = graph.num_vertices
         vertex = manager.add_vertex(["zz-epoch"])
         assert vertex == before
-        view = manager.view()
-        assert view.num_vertices == before + 1
-        assert view.neighbors(vertex) == frozenset()
-        assert "zz-epoch" in view.keyword_labels(vertex)
+        assert graph.num_vertices == before + 1
+        assert graph.neighbors(vertex) == frozenset()
+        assert "zz-epoch" in graph.keyword_labels(vertex)
         manager.add_edge(vertex, 0)
-        assert manager.view().has_edge(vertex, 0)
-        assert_version_invariant(manager)
+        assert graph.has_edge(vertex, 0)
 
 
 def test_closed_manager_rejects_everything():
     graph = fresh_graph()
     manager = EpochManager(graph)
     manager.close()
+    version = graph.version
+    u, v = next(iter(graph.edges()))
     with pytest.raises(EpochError):
         manager.add_edge(0, 1)
     with pytest.raises(EpochError):
-        manager.view()
+        manager.remove_edge(u, v)
     with pytest.raises(EpochError):
-        with manager.lease():
-            pass
+        manager.set_keywords(0, ["a"])
+    with pytest.raises(EpochError):
+        manager.add_vertex(["a"])
+    assert graph.version == version
     manager.close()  # idempotent
 
 
-def test_manual_rotate_with_empty_delta_is_a_noop():
-    graph = fresh_graph()
-    with EpochManager(graph) as manager:
-        assert manager.rotate() is False
-        assert manager.stats().rotations == 0
+# ----------------------------------------------------------------------
+# Service-level parity: mutable service vs fresh service
+# ----------------------------------------------------------------------
+@st.composite
+def attributed_graphs(draw):
+    """Random graphs of 4-14 vertices with random keyword sets."""
+    n = draw(st.integers(min_value=4, max_value=14))
+    possible_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(
+        st.lists(st.sampled_from(possible_edges), unique=True, max_size=2 * n)
+    )
+    keywords = {
+        v: draw(st.lists(st.sampled_from(KEYWORD_POOL), unique=True, max_size=3))
+        for v in range(n)
+    }
+    return AttributedGraph(n, edges, keywords)
 
 
-def test_delta_records_collapse_inverse_ops():
-    """add(u,v) then remove(u,v) in one delta must compose to a no-op
-    overlay for that row (the replay path, exercised directly)."""
-    graph = fresh_graph()
-    snapshot = CsrSnapshot.from_graph(graph)
-    delta = GraphDelta(snapshot)
-    u, v = 0, 1
-    had = graph.has_edge(u, v)
-    if had:
-        delta.record_remove_edge(u, v)
-        delta.record_add_edge(u, v)
+@st.composite
+def mutation_streams(draw, max_ops: int = 12):
+    """A list of abstract mutation ops, resolved against a graph later."""
+    ops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_ops))):
+        kind = draw(st.sampled_from(["flip", "flip", "keywords", "vertex"]))
+        if kind == "flip":
+            ops.append(("flip", draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))))
+        elif kind == "keywords":
+            labels = draw(
+                st.lists(st.sampled_from(KEYWORD_POOL), unique=True, max_size=3)
+            )
+            ops.append(("keywords", draw(st.integers(0, 10**6)), tuple(labels)))
+        else:
+            labels = draw(
+                st.lists(st.sampled_from(KEYWORD_POOL), unique=True, max_size=2)
+            )
+            ops.append(("vertex", tuple(labels)))
+    return ops
+
+
+def resolve(op, graph):
+    """Map an abstract op onto concrete vertices of *graph*."""
+    n = graph.num_vertices
+    if op[0] == "flip":
+        u, v = op[1] % n, op[2] % n
+        if u == v:
+            v = (v + 1) % n
+        return ("flip", u, v)
+    if op[0] == "keywords":
+        return ("keywords", op[1] % n, op[2])
+    return op
+
+
+def apply_op(op, target):
+    """Apply a resolved op to a manager or directly to a graph."""
+    graph = target.graph if isinstance(target, EpochManager) else target
+    if op[0] == "flip":
+        _, u, v = op
+        if graph.has_edge(u, v):
+            target.remove_edge(u, v)
+        else:
+            target.add_edge(u, v)
+    elif op[0] == "keywords":
+        target.set_keywords(op[1], list(op[2]))
     else:
-        delta.record_add_edge(u, v)
-        delta.record_remove_edge(u, v)
-    assert delta.depth == 2
-    from repro.core.epoch import EpochGraphView
+        target.add_vertex(list(op[1]))
 
-    view = EpochGraphView(snapshot, delta, graph.keyword_table)
-    assert view.has_edge(u, v) == had
-    assert view.neighbors(u) == graph.neighbors(u)
+
+@settings(max_examples=20, deadline=None)
+@given(
+    graph=attributed_graphs(),
+    stream=mutation_streams(max_ops=8),
+    keywords=st.lists(
+        st.sampled_from(KEYWORD_POOL), unique=True, min_size=1, max_size=3
+    ),
+    group_size=st.integers(min_value=2, max_value=3),
+    tenuity=st.integers(min_value=0, max_value=3),
+    algorithm=st.sampled_from(ALGORITHMS),
+    distance_engine=st.sampled_from(["oracle", "bitset"]),
+)
+def test_epoch_service_solves_bit_identical(
+    graph,
+    stream,
+    keywords,
+    group_size,
+    tenuity,
+    algorithm,
+    distance_engine,
+):
+    query = KTGQuery(
+        keywords=tuple(keywords), group_size=group_size, tenuity=tenuity, top_n=3
+    )
+    live = clone_graph(graph)
+    reference = clone_graph(graph)
+
+    with QueryService(
+        live,
+        algorithm,
+        cache_capacity=0,
+        distance_engine=distance_engine,
+        mutations=True,
+    ) as epoch_service:
+        # Interleave a solve mid-stream so repairs actually run against
+        # a built oracle, then mutate some more and solve again.
+        resolved = [resolve(op, live) for op in stream]
+        half = len(resolved) // 2
+        for op in resolved[:half]:
+            apply_op(op, epoch_service.epochs)
+        epoch_service.submit(query)
+        for op in resolved[half:]:
+            apply_op(op, epoch_service.epochs)
+        epoch_answer = epoch_service.submit(query)
+
+    for op in resolved:
+        # Replay the identical concrete ops against the reference graph
+        # (vertex counts track, so resolution is stable across both).
+        apply_op(op, reference)
+    assert sorted(reference.edges()) == sorted(live.edges())
+
+    with QueryService(
+        reference,
+        algorithm,
+        cache_capacity=0,
+        distance_engine=distance_engine,
+    ) as reference_service:
+        reference_answer = reference_service.submit(query)
+
+    assert ranked_groups(epoch_answer.result) == ranked_groups(
+        reference_answer.result
+    )
+    assert comparable_stats(epoch_answer.result.stats) == comparable_stats(
+        reference_answer.result.stats
+    )

@@ -1,5 +1,7 @@
 """Unit tests for the attributed-graph substrate."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import (
@@ -255,6 +257,21 @@ class TestDerived:
         assert sorted(back.edges()) == sorted(figure1.edges())
         for vertex in figure1.vertices():
             assert back.keyword_labels(vertex) == figure1.keyword_labels(vertex)
+
+    def test_pickle_round_trip(self, figure1):
+        """Process-pool workers receive the graph pickled: every slot
+        survives, and the clone mutates independently."""
+        figure1.set_keywords(0, ["SN", "extra"])
+        clone = pickle.loads(pickle.dumps(figure1))
+        assert clone.version == figure1.version
+        assert clone.num_edges == figure1.num_edges
+        assert sorted(clone.edges()) == sorted(figure1.edges())
+        assert list(clone.keyword_table) == list(figure1.keyword_table)
+        for vertex in figure1.vertices():
+            assert clone.keywords_of(vertex) == figure1.keywords_of(vertex)
+        u, v = next(iter(figure1.edges()))
+        clone.remove_edge(u, v)
+        assert figure1.has_edge(u, v)
 
     def test_repr_mentions_sizes(self, figure1):
         assert "|V|=12" in repr(figure1)

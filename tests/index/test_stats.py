@@ -5,7 +5,12 @@ import pytest
 from repro.index.bfs import BFSOracle
 from repro.index.nl import NLIndex
 from repro.index.nlrnl import NLRNLIndex
-from repro.index.stats import IndexFootprint, measure_footprint, oracle_by_name
+from repro.index.stats import (
+    IndexFootprint,
+    adjacency_footprint_bytes,
+    measure_footprint,
+    oracle_by_name,
+)
 
 
 class TestOracleByName:
@@ -21,6 +26,15 @@ class TestOracleByName:
     def test_options_forwarded(self, figure1):
         oracle = oracle_by_name("nl", figure1, depth=2)
         assert oracle.depth == 2
+
+
+class TestAdjacencyFootprint:
+    def test_adjacency_footprint_positive(self, figure1):
+        footprint = adjacency_footprint_bytes(figure1)
+        # At least one boxed int per stored endpoint, plus the sets.
+        assert footprint > 28 * 2 * figure1.num_edges
+        figure1.add_vertex(["SN"])
+        assert adjacency_footprint_bytes(figure1) > footprint
 
 
 class TestMeasureFootprint:

@@ -258,6 +258,35 @@ def test_solver_backend_bit_identical(graph, query, strategy_index, kline, union
     assert fast == scalar, (kline, union)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    graph=attributed_graphs(),
+    query=queries(),
+    strategy_index=st.integers(0, 2),
+)
+def test_kernel_backend_bit_identical(graph, query, strategy_index):
+    """The numpy kernels return the same ranked groups and the same
+    ``SearchStats`` as the scalar ones (numpy hidden through the
+    ``vec._np`` seam), across strategies.  On the numpy-absent CI lane
+    both runs are scalar."""
+    _, factory = STRATEGIES[strategy_index]
+
+    def run():
+        return BranchAndBoundSolver(
+            graph,
+            oracle=BFSOracle(graph),
+            strategy=factory(graph),
+            distance_engine="bitset",
+        ).solve(query)
+
+    fast = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vec, "_np", None)
+        base = run()
+    assert ranked_groups(fast) == ranked_groups(base)
+    assert full_stats_profile(fast.stats) == full_stats_profile(base.stats)
+
+
 @settings(max_examples=15, deadline=None)
 @given(graph=attributed_graphs(), query=queries())
 def test_shared_kernel_across_solves_stays_exact(graph, query):

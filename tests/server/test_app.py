@@ -140,7 +140,7 @@ class TestMutateLabels:
                 {"op": "set_keywords", "vertex": 0, "keywords": labels[:2]},
             )
             assert status == 200
-            service.epochs.rotate()
+            assert graph.version == version + 1
             status, body = http_request(
                 host, port, "POST", "/solve", query_payload(labels[:3])
             )

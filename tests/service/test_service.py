@@ -224,8 +224,8 @@ class TestServiceResult:
 
 
 class TestMutationLabels:
-    """Bad keyword labels fail at the graph boundary, before any epoch
-    bookkeeping, and the service keeps serving afterwards."""
+    """Bad keyword labels fail at the graph boundary, before any index
+    repair, and the service keeps serving afterwards."""
 
     def test_bad_labels_are_rejected_and_service_keeps_working(self):
         from repro.core.errors import KeywordLabelError
@@ -242,9 +242,9 @@ class TestMutationLabels:
                 with pytest.raises(KeywordLabelError):
                     service.add_vertex(bad)
             assert graph.version == version
-            assert service.epochs.stats().delta_depth == 0
+            assert service.epochs.repairs == 0
             service.set_keywords(0, [labels[0]])
-            service.epochs.rotate()
+            assert service.epochs.repairs == 1
             served = service.submit(query)
             assert served.result.groups
 
