@@ -9,6 +9,13 @@ The paper's findings on all four datasets:
   graph's eccentricity to fill the reverse lists while NL stops at its
   stored depth.
 
+Here the construction order is reversed, an implementation effect rather
+than a divergence from the paper: NLRNL still covers every level to the
+eccentricity, but gets all vertices' levels from one bit-parallel pass
+per depth (``bfs_level_bitsets``), while NL runs one BFS per vertex to
+its depth.  NLRNL builds 2.4-4.6x faster than NL at bench scale; see
+EXPERIMENTS.md, Figure 9.
+
 One benchmark row = one (dataset, index) build; ``extra_info`` carries
 the entry counts for the space comparison.
 """

@@ -258,8 +258,17 @@ class EpochManager:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Reject every later mutation (idempotent)."""
+        """Reject every later mutation and drop the repair targets
+        (idempotent).
+
+        The providers are usually bound methods of the owning service,
+        which holds this manager: clearing them breaks that cycle, so a
+        closed service is freed by reference counting alone, not at the
+        next cyclic garbage collection.
+        """
         self._closed = True
+        self._oracle_provider = None
+        self._kernel_provider = None
 
     def _check_open(self) -> None:
         if self._closed:

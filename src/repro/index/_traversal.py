@@ -7,6 +7,10 @@ for the thousands of BFS runs an index build performs.
 
 Callers always pass the graph's live ``adjacency_view()``, so a
 traversal never reads a stale version.
+
+:func:`bfs_level_bitsets` runs the BFS of many sources at once, one
+bitset per vertex and depth, which is how the NLRNL index builds every
+vertex's levels in one pass instead of one BFS per vertex.
 """
 
 from __future__ import annotations
@@ -14,8 +18,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Optional
 
+from repro.core.graph import component_labels
+
 __all__ = [
     "bfs_levels",
+    "bfs_level_bitsets",
     "bfs_distance_array",
     "UNREACHABLE",
 ]
@@ -87,3 +94,60 @@ def bfs_distance_array(
         frontier = next_frontier
     return distances
 
+
+def bfs_level_bitsets(
+    adjacency: Sequence[set[int]],
+    sources: Optional[Sequence[int]] = None,
+) -> list[list[int]]:
+    """Run the BFS of every source at once, as integer bitsets.
+
+    Bit ``j`` of ``rows[v][d-1]`` is set iff vertex ``v`` is at hop
+    distance exactly ``d`` from ``sources[j]``.  *sources* defaults to
+    every vertex (``j`` is then the vertex id), and because the graph is
+    undirected ``rows[v]`` is then ``v``'s own BFS levels as bitsets:
+    the sets :func:`bfs_levels` returns for *v*, trailing empty levels
+    dropped the same way.
+
+    Each depth is one pass over the vertices that still miss a source
+    of their component::
+
+        next[v] = OR(frontier[u] for u in adjacency[v]) & ~seen[v]
+
+    where ``frontier[u]`` holds the sources at distance ``d`` from ``u``.
+    A vertex at distance ``d + 1`` from a source has a neighbour at
+    distance ``d`` from it, and the undirected edge makes that neighbour
+    relation symmetric, so the OR is exact.  With a source subset,
+    ``rows[v]`` runs to ``v``'s largest distance to a source of its
+    component and may hold zero bitsets for the depths between.
+    """
+    n = len(adjacency)
+    if sources is None:
+        sources = range(n)
+    labels = component_labels(adjacency)
+    # unseen[v]: the sources of v's component not yet at distance <= d.
+    component_sources: dict[int, int] = {}
+    frontier = [0] * n
+    for position, source in enumerate(sources):
+        bit = 1 << position
+        frontier[source] = bit
+        label = labels[source]
+        component_sources[label] = component_sources.get(label, 0) | bit
+    unseen = [component_sources.get(labels[v], 0) & ~frontier[v] for v in range(n)]
+    rows: list[list[int]] = [[] for _ in range(n)]
+    active = [v for v in range(n) if unseen[v]]
+    while active:
+        next_frontier = [0] * n
+        still_active = []
+        for v in active:
+            reached = 0
+            for u in adjacency[v]:
+                reached |= frontier[u]
+            reached &= unseen[v]
+            next_frontier[v] = reached
+            rows[v].append(reached)
+            unseen[v] ^= reached
+            if unseen[v]:
+                still_active.append(v)
+        frontier = next_frontier
+        active = still_active
+    return rows

@@ -18,6 +18,11 @@ two-list layout, but a probe is a single hash lookup instead of one
 membership test per level, which is what lets NLRNL beat NL on probe
 latency as reported in Section VII-A.
 
+Construction runs no per-vertex BFS: :func:`bfs_level_bitsets` computes
+every vertex's levels at once as integer bitsets, one pass per depth,
+``c`` is read off the level popcounts, and each map is decoded from the
+bits of the ids above its vertex outside level ``c`` only.
+
 Two storage rules from the paper are implemented faithfully:
 
 * **Id-halving** — vertex ``v``'s map only contains vertices with id
@@ -43,11 +48,12 @@ BFS distance arrays from the edge endpoints ``u`` and ``v``:
   ``churn_mixed`` stream this rebuilds 23.2 vertices per delete where
   the older ``|d(a,u) − d(a,v)| == 1`` test rebuilt 164.9.
 
-Component labels are recomputed only when an insert merges two
-components or a delete splits one, which the same endpoint arrays
-show.  ``c`` values are frozen at build time so the missing-pair
-convention stays stable across updates.  Rebuilt vertices are counted
-in ``stats.extra["repaired_vertices"]``.
+The rebuilt vertices' maps come from one :func:`bfs_level_bitsets` pass
+with those vertices as sources.  Component labels are recomputed only
+when an insert merges two components or a delete splits one, which the
+same endpoint arrays show.  ``c`` values are frozen at build time so the
+missing-pair convention stays stable across updates.  Rebuilt vertices
+are counted in ``stats.extra["repaired_vertices"]``.
 
 k-line filtering (:meth:`NLRNLIndex.filter_candidates`) reads a derived
 **row cache** instead of probing the maps per candidate: a member's
@@ -63,12 +69,14 @@ from __future__ import annotations
 import threading
 import time
 from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
 from itertools import compress, repeat
 from typing import Union
 
 from repro.core.errors import IndexUpdateError
 from repro.core.graph import AttributedGraph, component_labels
-from repro.index._traversal import UNREACHABLE, bfs_distance_array, bfs_levels
+from repro.index._traversal import UNREACHABLE, bfs_distance_array, bfs_level_bitsets
 from repro.index.base import DistanceOracle
 from repro.index.nl import choose_peak_level
 
@@ -145,23 +153,18 @@ class NLRNLIndex(DistanceOracle):
         adjacency = graph.adjacency_view()
         n = graph.num_vertices
 
-        depth_of: list[dict[int, int]] = []
-        c_values: list[int] = []
-        entries = 0
-        for vertex in range(n):
-            levels = bfs_levels(adjacency, vertex)
-            c = choose_peak_level([len(level) for level in levels])
-            c_values.append(c)
-            vertex_map = self._map_from_levels(vertex, levels, c)
-            entries += len(vertex_map)
-            depth_of.append(vertex_map)
-
-        self._depth_of = depth_of
+        rows = bfs_level_bitsets(adjacency)
+        # Row v is v's own levels (the graph is undirected), so c is read
+        # off their sizes before the decode frees the rows.
+        c_values = [
+            choose_peak_level([level.bit_count() for level in row]) for row in rows
+        ]
+        self._depth_of = _maps_from_level_bitsets(rows, range(n), c_values)
         self._c = c_values
         self._component = component_labels(adjacency)
         self._reset_row_cache()
 
-        self.stats.entries = entries
+        self.stats.entries = sum(map(len, self._depth_of))
         self.stats.build_seconds = time.perf_counter() - started
         super().rebuild()
 
@@ -169,8 +172,13 @@ class NLRNLIndex(DistanceOracle):
     def _map_from_levels(
         vertex: int, levels: list[list[int]], c: int
     ) -> dict[int, int]:
-        """Flatten BFS levels into an id-halved neighbour->depth map,
-        dropping level ``c`` entirely (the missing-pair convention)."""
+        """Flatten one vertex's :func:`bfs_levels` into its id-halved
+        neighbour->depth map, dropping level ``c`` entirely (the
+        missing-pair convention).
+
+        The per-source form of :func:`_maps_from_level_bitsets`, which
+        builds every map; tests check the two agree.
+        """
         vertex_map: dict[int, int] = {}
         for depth, level in enumerate(levels, start=1):
             if depth == c:
@@ -397,8 +405,8 @@ class NLRNLIndex(DistanceOracle):
         return vertex
 
     def _rebuild_vertices(self, vertices: list[int], relabel: bool) -> None:
-        """Recompute the maps of *vertices* from fresh BFS runs, drop
-        their cached rows and count them in
+        """Recompute the maps of *vertices* from one bitset BFS pass with
+        them as sources, drop their cached rows and count them in
         ``stats.extra["repaired_vertices"]``.
 
         ``c`` values are kept frozen (see module docstring).  Components
@@ -407,12 +415,16 @@ class NLRNLIndex(DistanceOracle):
         labels.
         """
         adjacency = self.graph.adjacency_view()
-        for vertex in vertices:
-            old_entries = len(self._depth_of[vertex])
-            levels = bfs_levels(adjacency, vertex)
-            vertex_map = self._map_from_levels(vertex, levels, self._c[vertex])
-            self._depth_of[vertex] = vertex_map
-            self.stats.entries += len(vertex_map) - old_entries
+        sources = sorted(vertices)
+        maps = _maps_from_level_bitsets(
+            bfs_level_bitsets(adjacency, sources),
+            sources,
+            [self._c[vertex] for vertex in sources],
+        )
+        depth_of = self._depth_of
+        for vertex, vertex_map in zip(sources, maps):
+            self.stats.entries += len(vertex_map) - len(depth_of[vertex])
+            depth_of[vertex] = vertex_map
         if relabel:
             self._component = component_labels(adjacency)
         self._evict_rows(vertices)
@@ -424,6 +436,40 @@ class NLRNLIndex(DistanceOracle):
     def c_value(self, vertex: int) -> int:
         """The frozen per-vertex ``c`` (peak hop level at build time)."""
         return self._c[vertex]
+
+
+#: ``bytes.translate`` table turning a ``bin()`` digit string into 0/1 flags.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _maps_from_level_bitsets(
+    rows: list[list[int]], sources: Sequence[int], c_values: Sequence[int]
+) -> list[dict[int, int]]:
+    """Decode :func:`bfs_level_bitsets` *rows* into each source's map.
+
+    ``maps[j]`` holds every vertex ``w > sources[j]`` at its depth ``d``
+    from ``sources[j]`` unless ``d == c_values[j]``: the id-halved map
+    with level ``c`` dropped.  *sources* must be ascending, so the
+    sources below ``w`` are the low bits of its row; masking those and
+    the sources whose ``c`` is ``d`` leaves only bits that are entries.
+    Each row is freed once decoded.
+    """
+    maps: list[dict[int, int]] = [{} for _ in sources]
+    positions = list(range(len(sources)))
+    at_c: dict[int, int] = {}
+    for position, c in enumerate(c_values):
+        at_c[c] = at_c.get(c, 0) | (1 << position)
+    for w in range(len(rows)):
+        row, rows[w] = rows[w], []
+        below = (1 << bisect_left(sources, w)) - 1
+        for depth, bits in enumerate(row, start=1):
+            bits &= below & ~at_c.get(depth, 0)
+            if bits:
+                # bin() lists the bits high to low; reverse to index by position.
+                flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+                for position in compress(positions, flags):
+                    maps[position][w] = depth
+    return maps
 
 
 def _unreachable_code(typecode: str) -> int:

@@ -13,8 +13,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +219,25 @@ def test_closed_manager_rejects_everything():
         manager.add_vertex(["a"])
     assert graph.version == version
     manager.close()  # idempotent
+
+
+@pytest.mark.parametrize("distance_engine", ["oracle", "bitset"])
+def test_closed_mutable_service_is_freed_without_cyclic_gc(distance_engine):
+    # The manager's repair providers are bound methods of the service;
+    # unless close() drops them, service and manager form a cycle that
+    # keeps the built index resident until a full cyclic collection.
+    graph = fresh_graph()
+    service = QueryService(graph, mutations=True, distance_engine=distance_engine)
+    service.submit(gate_query(graph))  # builds the oracle (and kernel)
+    service.add_edge(*answer_breaking_edge(clone_graph(graph), gate_query(graph)))
+    alive = weakref.ref(service)
+    gc.disable()
+    try:
+        service.close()
+        del service
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

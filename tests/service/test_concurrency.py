@@ -5,11 +5,11 @@ to sequential execution on a fixed workload (exactness preserved under
 concurrency), graph mutations invalidate cached answers through the
 version counter, and racing callers converge on exactly one lazily
 built worker pool (the unsynchronized race used to leak whole process
-pools and their /dev/shm segments).
+pools and their worker processes).
 """
 
 import concurrent.futures
-import glob
+import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -198,8 +198,8 @@ class TestLazyInitRaces:
 
     The lazy initializer used to be unsynchronized: two threads could
     both observe "no pool yet", both build one, and the loser's pool
-    leaked (worker threads or processes, and any /dev/shm segments
-    they held).  The constructors are counted via
+    leaked (worker threads or processes).  The constructors are
+    counted via
     monkeypatched stand-ins so the tests assert *creations*, not just
     the final pool.
     """
@@ -246,12 +246,12 @@ class TestLazyInitRaces:
             self._hammer(8, lambda worker: service.run_batch(queries))
             assert len(created) == 1
 
-    def test_racing_process_batches_share_one_pool_and_leak_no_shm(
+    def test_racing_process_batches_share_one_pool_and_leave_no_workers(
         self, monkeypatch
     ):
         # The high-stakes variant: a leaked loser pool would hold worker
-        # processes and any /dev/shm segments they attached.
-        baseline_shm = set(glob.glob("/dev/shm/psm_*"))
+        # processes past the service's close().
+        baseline_workers = set(multiprocessing.active_children())
         graph = make_random_attributed_graph(num_vertices=25, seed=7)
         labels = tuple(sorted(graph.keyword_table)[:3])
         queries = [
@@ -277,8 +277,8 @@ class TestLazyInitRaces:
         ) as service:
             self._hammer(4, lambda worker: service.run_batch(queries))
             assert len(created) == 1
-        leaked = set(glob.glob("/dev/shm/psm_*")) - baseline_shm
-        assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
+        leaked = set(multiprocessing.active_children()) - baseline_workers
+        assert not leaked, f"pool workers outlived the service: {sorted(leaked, key=str)}"
 
 
 class TestMixedInterleavings:
