@@ -7,7 +7,8 @@ edit waits for in-flight solves and repairs the index incrementally,
 so query latency under a mutation stream must stay within a small
 constant of the no-churn latency, with zero failed requests.
 
-Two phases over identical fresh-graph copies and the same workload:
+Two arms over identical fresh-graph copies and the same workload,
+interleaved query by query in each pass:
 
 * **no-churn** — a read-only :class:`QueryService` over a prebuilt
   oracle serves the workload;
@@ -16,13 +17,22 @@ Two phases over identical fresh-graph copies and the same workload:
   lands between queries, so every flip is an incremental repair.
 
 Acceptance: churn p95 <= 2x no-churn p95 (soft under ``--smoke``),
-zero failed requests, repairs > 0.  Caching is disabled in both phases
-so every latency sample is a real solve.
+zero failed requests, repairs > 0.  Caching is disabled in both arms
+so every latency sample is a real solve.  ``bench-regression`` diffs
+the recorded ``p95_ratio`` against its baseline at +/-25%, so under
+``--smoke`` the bench keeps all ``QUERIES`` queries per arm, serves
+the arms back to back and records the median of ``ROUNDS`` passes.
+Reruns of one tree read 0.68-1.84 with one query per arm and one
+pass, and 0.79-1.64 with 18 queries per arm served one arm after the
+other (the host's speed moved between the arms); with all three
+measures they read 0.93-1.15 (31 reruns on a 2-vCPU Linux host, 11 of
+them inside full smoke runs).
 """
 
 from __future__ import annotations
 
 import random
+from statistics import median
 
 from conftest import bench_dataset, bench_workload, check_claim, register_bench_meta
 
@@ -33,8 +43,10 @@ from repro.workloads.runner import ALGORITHMS
 
 ALGORITHM = "KTG-VKC-DEG-NLRNL"
 QUERIES = 18
-#: Edge flips applied between consecutive queries in the churn phase.
+#: Edge flips applied between consecutive queries in the churn arm.
 MUTATIONS_PER_QUERY = 4
+#: Identical passes; each recorded percentile and ratio is their median.
+ROUNDS = 3
 
 
 def _fresh_graph():
@@ -66,34 +78,33 @@ def _mutation_stream(seed: int):
 
 
 def test_latency_under_streaming_edges(benchmark):
-    workload = list(bench_workload("brightkite", count=QUERIES, keyword_size=4))
+    workload = list(
+        bench_workload(
+            "brightkite", count=QUERIES, smoke_count=QUERIES, keyword_size=4
+        )
+    )
 
-    # Phase 1 (untimed): the no-churn baseline percentiles.  Both phases
-    # build their oracle before the first query, so no latency sample
-    # includes an index build.
-    quiet_graph = _fresh_graph()
-    with QueryService(
-        quiet_graph,
-        ALGORITHM,
-        oracle=ALGORITHMS[ALGORITHM].build_oracle(quiet_graph),
-        cache_capacity=0,
-    ) as quiet_service:
-        quiet_failures = _serve_all(quiet_service, workload)
-        quiet_stats = quiet_service.stats()
-
-    # Phase 2 (timed): the same workload with edge flips streaming in.
-    def churn_pass():
-        graph = _fresh_graph()
+    # Each timed pass serves both arms, query by query: the quiet arm and
+    # then the churn arm solve each query back to back, so a change of
+    # host speed during the pass moves both percentiles alike (run one
+    # arm after the other and the ratio tracks the host, not the flips).
+    def interleaved_pass():
+        quiet_graph, graph = _fresh_graph(), _fresh_graph()
         rng = _mutation_stream(seed=0)
         n = graph.num_vertices
-        failures = 0
-        # Built up front, so the flips before the first query (all of
-        # them under --smoke, which keeps one query) are repairs too.
-        oracle = ALGORITHMS[ALGORITHM].build_oracle(graph)
+        failures = quiet_failures = 0
+        # Both oracles are built up front, so no latency sample includes
+        # an index build and the flips before the first query are
+        # repairs too.
         with QueryService(
+            quiet_graph,
+            ALGORITHM,
+            oracle=ALGORITHMS[ALGORITHM].build_oracle(quiet_graph),
+            cache_capacity=0,
+        ) as quiet_service, QueryService(
             graph,
             ALGORITHM,
-            oracle=oracle,
+            oracle=ALGORITHMS[ALGORITHM].build_oracle(graph),
             cache_capacity=0,
             mutations=True,
         ) as service:
@@ -107,41 +118,52 @@ def test_latency_under_streaming_edges(benchmark):
                             service.add_edge(u, v)
                     except Exception:
                         failures += 1
-                try:
-                    service.submit(query)
-                except Exception:
-                    failures += 1
-            return failures, service.stats(), service.instrument_report()["epoch"]
+                quiet_failures += _serve_all(quiet_service, [query])
+                failures += _serve_all(service, [query])
+            return (
+                failures,
+                quiet_failures,
+                quiet_service.stats(),
+                service.stats(),
+                service.instrument_report()["epoch"],
+            )
 
-    failures, churn_stats, epoch_report = benchmark.pedantic(
-        churn_pass, rounds=1, iterations=1
+    passes = []
+    benchmark.pedantic(
+        lambda: passes.append(interleaved_pass()), rounds=ROUNDS, iterations=1
     )
+    failures = sum(p[0] for p in passes)
+    quiet_failures = sum(p[1] for p in passes)
+    quiet_p95_ms = median(p[2].p95_ms for p in passes)
+    churn_p95_ms = median(p[3].p95_ms for p in passes)
+    repairs = min(p[4]["repairs"] for p in passes)
 
     benchmark.extra_info["queries"] = len(workload)
     benchmark.extra_info["mutations"] = len(workload) * MUTATIONS_PER_QUERY
-    benchmark.extra_info["quiet_p50_ms"] = round(quiet_stats.p50_ms, 3)
-    benchmark.extra_info["quiet_p95_ms"] = round(quiet_stats.p95_ms, 3)
-    benchmark.extra_info["churn_p50_ms"] = round(churn_stats.p50_ms, 3)
-    benchmark.extra_info["churn_p95_ms"] = round(churn_stats.p95_ms, 3)
-    benchmark.extra_info["repairs"] = epoch_report["repairs"]
+    benchmark.extra_info["quiet_p50_ms"] = round(median(p[2].p50_ms for p in passes), 3)
+    benchmark.extra_info["quiet_p95_ms"] = round(quiet_p95_ms, 3)
+    benchmark.extra_info["churn_p50_ms"] = round(median(p[3].p50_ms for p in passes), 3)
+    benchmark.extra_info["churn_p95_ms"] = round(churn_p95_ms, 3)
+    benchmark.extra_info["repairs"] = repairs
     benchmark.extra_info["failed_requests"] = failures + quiet_failures
 
     # Hard guarantees: the mutation stream can never fail a request, and
     # with the oracle built every flip repaired it in place.
     assert failures == 0 and quiet_failures == 0
-    assert epoch_report["repairs"] > 0, epoch_report
+    assert repairs > 0, passes[-1][4]
 
     # The latency claim (soft under --smoke, where tiny solves make the
     # percentiles noise-dominated): streaming mutations cost at most 2x
-    # on tail latency.
-    ratio = (
-        churn_stats.p95_ms / quiet_stats.p95_ms if quiet_stats.p95_ms else 1.0
+    # on tail latency.  Each pass's p95 is its one or two slowest
+    # solves, so a host stall in one pass moves its ratio; the median
+    # pass does not see it.
+    ratio = median(
+        p[3].p95_ms / p[2].p95_ms if p[2].p95_ms else 1.0 for p in passes
     )
     benchmark.extra_info["p95_ratio"] = round(ratio, 2)
     check_claim(
         ratio <= 2.0,
-        f"churn p95 {churn_stats.p95_ms:.3f}ms > 2x quiet p95 "
-        f"{quiet_stats.p95_ms:.3f}ms",
+        f"churn p95 {churn_p95_ms:.3f}ms > 2x quiet p95 {quiet_p95_ms:.3f}ms",
     )
 
 

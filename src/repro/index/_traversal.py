@@ -98,6 +98,7 @@ def bfs_distance_array(
 def bfs_level_bitsets(
     adjacency: Sequence[set[int]],
     sources: Optional[Sequence[int]] = None,
+    labels: Optional[Sequence[int]] = None,
 ) -> list[list[int]]:
     """Run the BFS of every source at once, as integer bitsets.
 
@@ -119,11 +120,14 @@ def bfs_level_bitsets(
     relation symmetric, so the OR is exact.  With a source subset,
     ``rows[v]`` runs to ``v``'s largest distance to a source of its
     component and may hold zero bitsets for the depths between.
+    *labels* are the graph's :func:`component_labels`, computed when not
+    given.
     """
     n = len(adjacency)
     if sources is None:
         sources = range(n)
-    labels = component_labels(adjacency)
+    if labels is None:
+        labels = component_labels(adjacency)
     # unseen[v]: the sources of v's component not yet at distance <= d.
     component_sources: dict[int, int] = {}
     frontier = [0] * n

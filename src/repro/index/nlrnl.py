@@ -36,24 +36,38 @@ Two storage rules from the paper are implemented faithfully:
   as a substitution in DESIGN.md.
 
 Dynamic maintenance (edge insert/delete) follows the paper's sketch
-and rebuilds exactly the vertices whose distance rows change, read off
-BFS distance arrays from the edge endpoints ``u`` and ``v``:
+and patches exactly the distance pairs an edit changes, not whole maps.
+Both edits read the endpoints' old rows from the index itself; an
+insert runs no BFS at all.
 
-* **insert** — ``a`` is rebuilt iff its old ``|d(a,u) − d(a,v)| > 1``
-  (or it reached only one endpoint);
-* **delete** — ``a`` is rebuilt iff ``d(a,u)`` or ``d(a,v)`` differs
-  between the BFS runs before and after the removal.  When both are
-  unchanged, every shortest path that crossed the edge has a detour of
-  equal length, so no distance of ``a`` moves.  On the benchmark's
-  ``churn_mixed`` stream this rebuilds 23.2 vertices per delete where
-  the older ``|d(a,u) − d(a,v)| == 1`` test rebuilt 164.9.
+* **insert (u, v)** — a shortest path uses the new edge at most once,
+  so a pair ``(a, w)`` can shorten only through ``a .. u - v .. w``
+  (or the mirror), which beats the old ``d(a,w) <= d(a,v) + d(v,w)``
+  only if ``d(a,u) + 1 < d(a,v)``, and likewise
+  ``d(v,w) + 1 < d(u,w)``.  Every changed pair therefore lies in
+  ``A_u x A_v`` (unreachable counts as infinite), and its new distance
+  is ``min(old, d(a,u) + 1 + d(v,w))``.
+* **delete (u, v)** — ``L_u``, the vertices whose distance to ``u``
+  grew, is read off the old row of ``u``: a vertex's distance grows iff
+  all its neighbours one hop closer to ``u`` grew, starting from ``v``.
+  A pair ``(a, w)`` lengthens only if all its shortest paths ran
+  ``a .. v - u .. w``; were ``d(a,u)`` unchanged, a detour to ``u``
+  followed by ``u .. w`` would keep the old distance.  So every changed
+  pair lies in ``L_u x L_v`` (disjoint: ``a`` cannot be closer to each
+  endpoint through the other), and those pairs are recomputed by one
+  :func:`bfs_level_bitsets` pass from the smaller side, decoding only
+  the other side's rows.
 
-The rebuilt vertices' maps come from one :func:`bfs_level_bitsets` pass
-with those vertices as sources.  Component labels are recomputed only
-when an insert merges two components or a delete splits one, which the
-same endpoint arrays show.  ``c`` values are frozen at build time so the
-missing-pair convention stays stable across updates.  Rebuilt vertices
-are counted in ``stats.extra["repaired_vertices"]``.
+``A_u ∪ A_v`` (``L_u ∪ L_v``) is exactly the set of vertices whose rows
+change: their cached rows are dropped and they are counted in
+``stats.extra["repaired_vertices"]``; the changed pairs are counted in
+``stats.extra["repaired_pairs"]``.  Each changed pair is written into
+the smaller id's map, or dropped from it when its new distance is that
+vertex's ``c`` or unreachable, so ``stats.entries`` stays exact.  ``c``
+values are frozen at build time so the missing-pair convention stays
+stable across updates.  Component labels are recomputed only when an
+insert merges two components (``u`` could not reach ``v``) or a delete
+splits one (no edge leaves ``L_u``).
 
 k-line filtering (:meth:`NLRNLIndex.filter_candidates`) reads a derived
 **row cache** instead of probing the maps per candidate: a member's
@@ -61,7 +75,7 @@ exact distance row is decoded once from the id-halved maps, and each
 ``(member, k)`` pair gets a keep-row of one byte per vertex
 (``dist > k``), so filtering is one byte lookup per candidate.  The
 cache is bounded by :data:`ROW_CACHE_BYTES`, drops only the rows of the
-vertices an edge repair rebuilds, and never changes ``stats.entries``.
+vertices an edge repair changes, and never changes ``stats.entries``.
 """
 
 from __future__ import annotations
@@ -72,11 +86,12 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import compress, repeat
+from math import inf
 from typing import Union
 
 from repro.core.errors import IndexUpdateError
 from repro.core.graph import AttributedGraph, component_labels
-from repro.index._traversal import UNREACHABLE, bfs_distance_array, bfs_level_bitsets
+from repro.index._traversal import UNREACHABLE, bfs_level_bitsets
 from repro.index.base import DistanceOracle
 from repro.index.nl import choose_peak_level
 
@@ -127,8 +142,11 @@ class NLRNLIndex(DistanceOracle):
         ``_rows`` maps ``(member, k)`` to a keep-row and
         ``(member, _DISTANCE_ROW)`` to a distance row.  Hits read it
         without locking; misses build and insert under ``_row_lock``.
+        ``_row_slots`` holds every second key part ever cached, so an
+        eviction looks up only its own members' keys.
         """
         self._rows: dict[tuple[int, int], Row] = {}
+        self._row_slots: set[int] = set()
         self._row_bytes = 0
         self._row_lock = threading.Lock()
 
@@ -136,7 +154,7 @@ class NLRNLIndex(DistanceOracle):
         # The row cache is derived state: never ship n^2 bytes (or a
         # lock) to a process worker or a copy.
         state = dict(self.__dict__)
-        for name in ("_rows", "_row_bytes", "_row_lock"):
+        for name in ("_rows", "_row_slots", "_row_bytes", "_row_lock"):
             state.pop(name, None)
         return state
 
@@ -153,7 +171,8 @@ class NLRNLIndex(DistanceOracle):
         adjacency = graph.adjacency_view()
         n = graph.num_vertices
 
-        rows = bfs_level_bitsets(adjacency)
+        labels = component_labels(adjacency)
+        rows = bfs_level_bitsets(adjacency, labels=labels)
         # Row v is v's own levels (the graph is undirected), so c is read
         # off their sizes before the decode frees the rows.
         c_values = [
@@ -161,7 +180,7 @@ class NLRNLIndex(DistanceOracle):
         ]
         self._depth_of = _maps_from_level_bitsets(rows, range(n), c_values)
         self._c = c_values
-        self._component = component_labels(adjacency)
+        self._component = labels
         self._reset_row_cache()
 
         self.stats.entries = sum(map(len, self._depth_of))
@@ -289,15 +308,18 @@ class NLRNLIndex(DistanceOracle):
         while rows and self._row_bytes > ROW_CACHE_BYTES:
             self._row_bytes -= _row_size(rows.pop(next(iter(rows))))
         rows[key] = row
+        self._row_slots.add(key[1])
 
     def _evict_rows(self, vertices: list[int]) -> None:
         """Drop every cached row of *vertices*: their distances may have
         changed, and a distance only changes between two such vertices."""
-        targets = set(vertices)
         with self._row_lock:
             rows = self._rows
-            for key in [key for key in rows if key[0] in targets]:
-                self._row_bytes -= _row_size(rows.pop(key))
+            for slot in self._row_slots:
+                for member in vertices:
+                    row = rows.pop((member, slot), None)
+                    if row is not None:
+                        self._row_bytes -= _row_size(row)
 
     def within_k(self, vertex: int, k: int) -> set[int]:
         """All vertices at distance 1..k of *vertex*.
@@ -338,55 +360,84 @@ class NLRNLIndex(DistanceOracle):
         return True
 
     def insert_edge(self, u: int, v: int) -> None:
-        """Add edge ``(u, v)`` and rebuild exactly the vertices whose
-        distance rows change.
+        """Add edge ``(u, v)`` and patch exactly the pairs it shortens.
 
-        Vertex ``a`` gains a shorter path through the new edge iff its
-        old distances to the endpoints differ by more than one hop (or
-        it could reach only one of them): then its distance to the
-        farther endpoint drops, so its row changes; otherwise no
-        shortest path can improve.  Components are relabelled only when
-        the edge merges two of them (``u`` could not reach ``v``).
+        No BFS runs: the old endpoint rows are read from the index.  A
+        shortest path uses the new edge at most once, so ``(a, w)``
+        shortens only if ``a`` gets closer to ``v`` by way of ``u``
+        (``d(a,u) + 1 < d(a,v)``) and ``w`` closer to ``u`` by way of
+        ``v``; its new distance is then ``min(old, d(a,u) + 1 + d(v,w))``.
+        Those two disjoint sides are exactly the vertices whose rows
+        change.  Components are relabelled only when the edge merges two
+        of them (``u`` could not reach ``v``).
         """
-        graph = self.graph
-        old_from_u = bfs_distance_array(graph.adjacency_view(), u)
-        old_from_v = bfs_distance_array(graph.adjacency_view(), v)
-        graph.add_edge(u, v)
-        affected = [
-            a
-            for a in range(graph.num_vertices)
-            if _insert_affects(old_from_u[a], old_from_v[a])
-        ]
-        self._rebuild_vertices(affected, relabel=old_from_u[v] == UNREACHABLE)
+        # Above every finite distance, so unreachable compares as infinite.
+        far = self.graph.num_vertices + 1
+        from_u = self._endpoint_distances(u, far)
+        from_v = self._endpoint_distances(v, far)
+        self.graph.add_edge(u, v)
+        side_u = [a for a, (du, dv) in enumerate(zip(from_u, from_v)) if du + 1 < dv]
+        side_v = [w for w, (du, dv) in enumerate(zip(from_u, from_v)) if dv + 1 < du]
+        distance_class = self.distance_class
+        changes = []
+        for a in side_u:
+            via = from_u[a] + 1
+            for w in side_v:
+                distance = via + from_v[w]
+                if distance < distance_class(a, w):
+                    changes.append((a, w, distance))
+        labels = self._component
+        if from_u[v] == far:
+            # The edge merged two components.
+            labels = component_labels(self.graph.adjacency_view())
+        self._repair(changes, side_u + side_v, labels)
 
     def delete_edge(self, u: int, v: int) -> None:
-        """Remove edge ``(u, v)`` and rebuild exactly the vertices whose
-        distance rows change.
+        """Remove edge ``(u, v)`` and patch exactly the pairs it lengthens.
 
-        The endpoints are BFS'd before and after the removal, and vertex
-        ``a`` is rebuilt iff ``dist(a, u)`` or ``dist(a, v)`` changed.
-        Its row holds both, so a change there is a change of the row.
-        If neither changed, the farther endpoint still has a neighbour
-        other than the nearer one that is one hop closer to ``a``, so
-        every shortest path that used the edge has a detour of equal
-        length and none of ``a``'s distances move.  Components are
-        relabelled only when the removal splits one (``u`` can no longer
-        reach ``v``).
+        No endpoint BFS runs.  ``far_u``, the vertices whose distance to
+        ``u`` grew, is read off the old row of ``u`` in the index (see
+        :func:`_grown_after_removal`); ``far_v`` likewise.  They are
+        exactly the vertices whose rows change, and every lengthened pair
+        lies in ``far_u x far_v``: if all of ``(a, w)``'s shortest paths
+        ran ``a .. u - v .. w``, then ``d(a,v) = d(a,u) + 1``, and were
+        ``d(a,v)`` unchanged, a path to ``v`` without the edge followed
+        by ``v .. w`` would keep the old distance, so ``a`` is in
+        ``far_v`` (and ``w`` in ``far_u`` likewise).  The pairs are
+        recomputed by one :func:`bfs_level_bitsets` pass from the
+        smaller side, reading only the other side's rows.  The removal
+        splits a component iff no edge leaves ``far_u`` (``v`` can no
+        longer reach ``u``); only then are components relabelled.
         """
         graph = self.graph
         if not graph.has_edge(u, v):
             raise IndexUpdateError(f"edge ({u}, {v}) does not exist")
-        old_from_u = bfs_distance_array(graph.adjacency_view(), u)
-        old_from_v = bfs_distance_array(graph.adjacency_view(), v)
+        from_u = self._endpoint_distances(u, UNREACHABLE)
+        from_v = self._endpoint_distances(v, UNREACHABLE)
         graph.remove_edge(u, v)
-        new_from_u = bfs_distance_array(graph.adjacency_view(), u)
-        new_from_v = bfs_distance_array(graph.adjacency_view(), v)
-        affected = [
-            a
-            for a in range(graph.num_vertices)
-            if old_from_u[a] != new_from_u[a] or old_from_v[a] != new_from_v[a]
-        ]
-        self._rebuild_vertices(affected, relabel=new_from_u[v] == UNREACHABLE)
+        adjacency = graph.adjacency_view()
+        far_u = _grown_after_removal(adjacency, from_u, v)
+        far_v = _grown_after_removal(adjacency, from_v, u)
+        split = all(far_u.issuperset(adjacency[a]) for a in far_u)
+        labels = component_labels(adjacency) if split else self._component
+        sources, targets = sorted(far_u), sorted(far_v)
+        if len(targets) < len(sources):
+            sources, targets = targets, sources
+        rows = bfs_level_bitsets(adjacency, sources, labels)
+        distance_class = self.distance_class
+        changes = []
+        for w in targets:
+            # A source missing from w's levels is in another component now.
+            found = [inf] * len(sources)
+            for depth, bits in enumerate(rows[w], start=1):
+                while bits:
+                    low = bits & -bits
+                    found[low.bit_length() - 1] = depth
+                    bits ^= low
+            for a, distance in zip(sources, found):
+                if distance != distance_class(a, w):
+                    changes.append((a, w, distance))
+        self._repair(changes, sources + targets, labels)
 
     def insert_vertex(self, labels=()) -> int:
         """Append an isolated vertex: empty map, fresh singleton component.
@@ -404,32 +455,54 @@ class NLRNLIndex(DistanceOracle):
         self._built_version = self.graph.version
         return vertex
 
-    def _rebuild_vertices(self, vertices: list[int], relabel: bool) -> None:
-        """Recompute the maps of *vertices* from one bitset BFS pass with
-        them as sources, drop their cached rows and count them in
-        ``stats.extra["repaired_vertices"]``.
+    def _endpoint_distances(self, vertex: int, unreachable: int) -> list[int]:
+        """*vertex*'s exact distances as read from the index (its cached
+        distance row when there is one), *unreachable* for other
+        components."""
+        row = self._rows.get((vertex, _DISTANCE_ROW))
+        if row is None:
+            row = self._distance_row(vertex)
+        code = _unreachable_code("B" if isinstance(row, bytes) else row.typecode)
+        return [unreachable if d == code else d for d in row]
 
-        ``c`` values are kept frozen (see module docstring).  Components
-        are recomputed only when *relabel* says the edit merged or split
-        one; otherwise :func:`component_labels` would return the same
-        labels.
+    def _repair(
+        self,
+        changes: list[tuple[int, int, float]],
+        vertices: list[int],
+        labels: list[int],
+    ) -> None:
+        """Apply an edge edit's changed pairs to the index.
+
+        Each ``(a, w, distance)`` in *changes* is one pair whose distance
+        the edit changed (``inf`` once unreachable), and no other pair
+        moved, so any structure derived from distances can be patched
+        from the same list.  Each is written into the smaller id's map,
+        or dropped from it when the distance is that vertex's frozen
+        ``c`` or unreachable, so the maps stay what a rebuild with the
+        same ``c`` values would give.  *vertices* (the vertices whose
+        rows changed) lose their cached rows and are counted in
+        ``stats.extra["repaired_vertices"]``, the pairs in
+        ``"repaired_pairs"``; *labels* are the component labels after
+        the edit.
         """
-        adjacency = self.graph.adjacency_view()
-        sources = sorted(vertices)
-        maps = _maps_from_level_bitsets(
-            bfs_level_bitsets(adjacency, sources),
-            sources,
-            [self._c[vertex] for vertex in sources],
-        )
         depth_of = self._depth_of
-        for vertex, vertex_map in zip(sources, maps):
-            self.stats.entries += len(vertex_map) - len(depth_of[vertex])
-            depth_of[vertex] = vertex_map
-        if relabel:
-            self._component = component_labels(adjacency)
+        c_values = self._c
+        entries = 0
+        for a, w, distance in changes:
+            low, high = (a, w) if a < w else (w, a)
+            vertex_map = depth_of[low]
+            size = len(vertex_map)
+            if distance == c_values[low] or distance == inf:
+                vertex_map.pop(high, None)
+            else:
+                vertex_map[high] = distance
+            entries += len(vertex_map) - size
+        self.stats.entries += entries
+        self._component = labels
         self._evict_rows(vertices)
         extra = self.stats.extra
         extra["repaired_vertices"] = extra.get("repaired_vertices", 0) + len(vertices)
+        extra["repaired_pairs"] = extra.get("repaired_pairs", 0) + len(changes)
         self._built_version = self.graph.version
 
     # ------------------------------------------------------------------
@@ -472,6 +545,31 @@ def _maps_from_level_bitsets(
     return maps
 
 
+def _grown_after_removal(
+    adjacency: Sequence[set[int]], distances: list[int], start: int
+) -> set[int]:
+    """The vertices whose distance to an endpoint grew when its edge to
+    *start* was removed; *distances* are the endpoint's old distances.
+
+    A vertex's distance grows iff every neighbour one hop closer to the
+    endpoint (its parent) grew, and *start*'s only parent was the
+    endpoint itself.  So the set grows level by level from *start*,
+    looking only at the children of the vertices already in it.
+    """
+    grown = {start}
+    level = [start]
+    while level:
+        depth = distances[level[0]] + 1
+        children = {c for a in level for c in adjacency[a] if distances[c] == depth}
+        level = [
+            c
+            for c in children
+            if all(distances[b] != depth - 1 or b in grown for b in adjacency[c])
+        ]
+        grown.update(level)
+    return grown
+
+
 def _unreachable_code(typecode: str) -> int:
     """The largest value of an unsigned array type: the unreachable code."""
     return (1 << (8 * array(typecode).itemsize)) - 1
@@ -480,11 +578,3 @@ def _unreachable_code(typecode: str) -> int:
 def _row_size(row: Row) -> int:
     return len(row) if isinstance(row, bytes) else len(row) * row.itemsize
 
-
-def _insert_affects(dist_u: int, dist_v: int) -> bool:
-    """Whether old endpoint distances imply a possible improvement."""
-    if dist_u == UNREACHABLE and dist_v == UNREACHABLE:
-        return False
-    if dist_u == UNREACHABLE or dist_v == UNREACHABLE:
-        return True
-    return abs(dist_u - dist_v) > 1

@@ -36,7 +36,9 @@ def oracle_usage_row(oracle) -> dict:
     """Flatten an oracle's :class:`OracleStats` into one dict row.
 
     ``repaired_vertices`` — vertices rebuilt by incremental edge repairs
-    (NL and NLRNL) — is included once the oracle has counted any.
+    (NL and NLRNL) — is included once the oracle has counted any, and
+    NLRNL's ``repaired_pairs`` (distance pairs those repairs patched)
+    beside it.
     """
     stats = oracle.stats
     row = {
@@ -49,8 +51,9 @@ def oracle_usage_row(oracle) -> dict:
         "memo_misses": stats.memo_misses,
         "memo_hit_rate": round(stats.memo_hit_rate, 4),
     }
-    if "repaired_vertices" in stats.extra:
-        row["repaired_vertices"] = stats.extra["repaired_vertices"]
+    for name in ("repaired_vertices", "repaired_pairs"):
+        if name in stats.extra:
+            row[name] = stats.extra[name]
     return row
 
 

@@ -127,6 +127,18 @@ def _pick_edit(graph, kind, rng):
     return (False, *rng.choice(edges))
 
 
+def _assert_equals_frozen_c_rebuild(index, graph):
+    """The maps, entry count and labels equal a per-source construction
+    on the current graph with the index's frozen c values."""
+    adjacency = graph.adjacency_view()
+    assert index._depth_of == [
+        NLRNLIndex._map_from_levels(a, bfs_levels(adjacency, a), index.c_value(a))
+        for a in graph.vertices()
+    ]
+    assert index._component == graph.connected_components()
+    assert index.stats.entries == sum(len(m) for m in index._depth_of)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=multi_component_edits())
 def test_repairs_rebuild_exactly_the_changed_vertices(data):
@@ -142,11 +154,16 @@ def test_repairs_rebuild_exactly_the_changed_vertices(data):
                 index.filter_candidates(members, member, k)
         before = _all_distances(graph)
         repaired = index.stats.extra.get("repaired_vertices", 0)
+        pairs = index.stats.extra.get("repaired_pairs", 0)
         insert, u, v = _pick_edit(graph, kind, rng)
         (index.insert_edge if insert else index.delete_edge)(u, v)
         after = _all_distances(graph)
         changed = {a for a in members if before[a] != after[a]}
         assert index.stats.extra["repaired_vertices"] - repaired == len(changed)
+        # Exactly the pairs whose distance moved are patched.
+        assert index.stats.extra["repaired_pairs"] - pairs == sum(
+            before[a][w] != after[a][w] for a in members for w in members if a < w
+        )
         # Rows of the vertices that were not rebuilt survive the edit and
         # still answer exactly.
         assert {member for member, _ in index._rows} == set(members) - changed
@@ -159,12 +176,6 @@ def test_repairs_rebuild_exactly_the_changed_vertices(data):
                 ]
             else:
                 assert list(row) == [int(d == UNREACHABLE or d > k) for d in truth]
-    # The repaired maps and labels equal a rebuild of every vertex on the
-    # final graph with the same frozen c values.
-    adjacency = graph.adjacency_view()
-    assert index._depth_of == [
-        NLRNLIndex._map_from_levels(a, bfs_levels(adjacency, a), index.c_value(a))
-        for a in members
-    ]
-    assert index._component == graph.connected_components()
-    assert index.stats.entries == sum(len(m) for m in index._depth_of)
+        # The repaired maps and labels equal a rebuild of every vertex on
+        # the edited graph with the same frozen c values.
+        _assert_equals_frozen_c_rebuild(index, graph)

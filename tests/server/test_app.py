@@ -164,14 +164,17 @@ class TestMutateRepairs:
             assert status == 200
             _, body = http_request(host, port, "GET", "/stats")
             assert "repaired_vertices" not in body["oracle"]
+            assert "repaired_pairs" not in body["oracle"]
             for op in ("add_edge", "remove_edge"):
                 status, _ = http_request(
                     host, port, "POST", "/mutate", {"op": op, "u": u, "v": v}
                 )
                 assert status == 200
             _, body = http_request(host, port, "GET", "/stats")
-            # Both edits rebuild at least the two endpoints.
+            # Both edits rebuild at least the two endpoints and patch at
+            # least their own pair.
             assert body["oracle"]["repaired_vertices"] >= 4
+            assert body["oracle"]["repaired_pairs"] >= 2
 
 
 class TestSolve:
