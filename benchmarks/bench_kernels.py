@@ -17,8 +17,10 @@ Three views, one config:
 
 * ``filter``  — the filtering primitive, oracle vs bitset (>= 3x claim);
 * ``solve``   — end-to-end branch and bound, bit-identical top-N;
-* ``service`` — :class:`QueryService` batch over a repeated-k workload
-  (result cache off, so ball reuse across queries is what is measured).
+* ``service`` — a :class:`QueryService` ``submit`` loop over a
+  repeated-k workload (result cache off, so ball reuse across queries
+  is what is measured; ``submit`` keeps every solve on the service's
+  one kernel, where a batch could move them to worker processes).
 """
 
 from __future__ import annotations
@@ -124,17 +126,22 @@ def _service_workload() -> list:
     return distinct * REPEATS
 
 
+def serve_in_process(service, workload) -> list:
+    """A ``submit`` loop: every solve runs here, on the service's kernel."""
+    return [service.submit(query) for query in workload]
+
+
 def _service_baseline(runner, oracle) -> tuple[float, list]:
     """Oracle-engine service batch wall-clock and member sets (cached)."""
     workload = _service_workload()
     key = (id(oracle), len(workload))
     if key not in _service_reference:
         with QueryService(
-            runner.graph, ALGORITHM, oracle=oracle, max_workers=1, cache_capacity=0
+            runner.graph, ALGORITHM, oracle=oracle, cache_capacity=0
         ) as service:
-            service.run_batch(workload, parallel=False)  # warm
+            serve_in_process(service, workload)  # warm
             started = time.perf_counter()
-            results = service.run_batch(workload, parallel=False)
+            results = serve_in_process(service, workload)
             elapsed = time.perf_counter() - started
         _service_reference[key] = (elapsed, [r.member_sets() for r in results])
     return _service_reference[key]
@@ -255,11 +262,11 @@ def test_kernels_service_repeat_oracle(benchmark):
     _, reference_sets = _service_baseline(runner, oracle)  # warms
 
     with QueryService(
-        runner.graph, ALGORITHM, oracle=oracle, max_workers=1, cache_capacity=0
+        runner.graph, ALGORITHM, oracle=oracle, cache_capacity=0
     ) as service:
-        service.run_batch(workload, parallel=False)  # warm
+        serve_in_process(service, workload)  # warm
         results = benchmark.pedantic(
-            lambda: service.run_batch(workload, parallel=False),
+            lambda: serve_in_process(service, workload),
             rounds=1,
             iterations=1,
         )
@@ -276,13 +283,12 @@ def test_kernels_service_repeat_bitset(benchmark):
         runner.graph,
         ALGORITHM,
         oracle=oracle,
-        max_workers=1,
         cache_capacity=0,
         distance_engine="bitset",
     ) as service:
-        service.run_batch(workload, parallel=False)  # warm the ball cache
+        serve_in_process(service, workload)  # warm the ball cache
         results = benchmark.pedantic(
-            lambda: service.run_batch(workload, parallel=False),
+            lambda: serve_in_process(service, workload),
             rounds=1,
             iterations=1,
         )

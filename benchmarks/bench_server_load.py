@@ -116,9 +116,7 @@ def test_server_load_ramp(benchmark):
     payloads = _payloads(graph)
     per_step = SMOKE_REQUESTS_PER_STEP if smoke_mode() else REQUESTS_PER_STEP
     registry = InstrumentRegistry()
-    service = QueryService(
-        graph, ALGORITHM, max_workers=4, instruments=registry
-    )
+    service = QueryService(graph, ALGORITHM, instruments=registry)
     server = KTGServer(
         service,
         max_inflight=256,

@@ -167,8 +167,8 @@ class KTGServer:
         Without a registry those surfaces answer 400 and the server
         behaves exactly as before over its single default service.
     solver_threads:
-        Width of the thread pool running ``service.submit``; defaults
-        to the service's ``max_workers``.
+        Width of the thread pool that runs ``service.submit`` (and
+        graph loads and drops) off the event loop.
     instruments:
         Shared obs registry for the ``server.*`` counters/timers.  When
         omitted (or given the null sink) the server creates a live
@@ -187,7 +187,7 @@ class KTGServer:
         max_inflight: int = 64,
         pressure_threshold: Optional[int] = None,
         pressure_time_budget: float = 0.05,
-        solver_threads: Optional[int] = None,
+        solver_threads: int = 4,
         instruments: Optional[InstrumentRegistry] = None,
     ) -> None:
         if max_inflight < 1:
@@ -215,7 +215,7 @@ class KTGServer:
         from concurrent.futures import ThreadPoolExecutor
 
         self._solver_pool = ThreadPoolExecutor(
-            max_workers=solver_threads or service.max_workers,
+            max_workers=solver_threads,
             thread_name_prefix="ktg-server-solve",
         )
         self._requests = instruments.counter("server.requests")
@@ -472,7 +472,7 @@ class KTGServer:
         if not isinstance(name, str) or not name:
             raise HttpError(400, "'name' must be a non-empty string")
         try:
-            # close() drains the tenant's worker pools — solver-pool
+            # close() stops the tenant's process pool — solver-pool
             # work, not event-loop work.
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(

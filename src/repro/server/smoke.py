@@ -85,9 +85,7 @@ def main() -> int:
     graph, _ = load_dataset("brightkite", scale=0.08)
     labels = tuple(sorted(graph.keyword_table))
     registry = InstrumentRegistry()
-    service = QueryService(
-        graph, "KTG-VKC-NLRNL", max_workers=4, instruments=registry
-    )
+    service = QueryService(graph, "KTG-VKC-NLRNL", instruments=registry)
     server = KTGServer(
         service,
         rate_limit_qps=0.5,
@@ -229,7 +227,6 @@ def churn_main() -> int:
     service = QueryService(
         graph,
         "KTG-VKC-NLRNL",
-        max_workers=4,
         mutations=True,
         instruments=registry,
     )
@@ -245,7 +242,7 @@ def churn_main() -> int:
 
         # Read-only control: a second server over a plain service must
         # reject /mutate with a 400 (EpochError), never a 5xx.
-        control_service = QueryService(graph, "KTG-VKC-NLRNL", max_workers=1)
+        control_service = QueryService(graph, "KTG-VKC-NLRNL")
         with control_service, ServerThread(KTGServer(control_service)) as control:
             chost, cport = control.address
             status, body = http_request(
@@ -377,12 +374,8 @@ def registry_main() -> int:
     graph, _ = load_dataset("brightkite", scale=0.08)
     labels = tuple(sorted(graph.keyword_table))
     registry = InstrumentRegistry()
-    service = QueryService(
-        graph, "KTG-VKC-NLRNL", max_workers=4, instruments=registry
-    )
-    graphs = GraphRegistry(
-        instruments=registry, algorithm="KTG-VKC-NLRNL", max_workers=2
-    )
+    service = QueryService(graph, "KTG-VKC-NLRNL", instruments=registry)
+    graphs = GraphRegistry(instruments=registry, algorithm="KTG-VKC-NLRNL")
     server = KTGServer(
         service, registry=graphs, max_inflight=16, instruments=registry
     )
@@ -490,7 +483,7 @@ def registry_main() -> int:
 
         # A registry-less control server keeps the single-graph
         # contract: graph surfaces answer 400, never 5xx.
-        control_service = QueryService(graph, "KTG-VKC-NLRNL", max_workers=1)
+        control_service = QueryService(graph, "KTG-VKC-NLRNL")
         with control_service, ServerThread(KTGServer(control_service)) as control:
             chost, cport = control.address
             status, _ = http_request(chost, cport, "GET", "/graphs")

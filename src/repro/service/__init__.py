@@ -4,9 +4,10 @@ The solver layer answers one query at a time; deployments answer
 *traffic*.  This package adds the serving machinery around the exact
 KTG/DKTG solvers:
 
-* :class:`~repro.service.service.QueryService` — answers query batches
-  against one shared graph + prebuilt oracle with a worker pool
-  (threads by default, processes opt-in for CPU-bound solves);
+* :class:`~repro.service.service.QueryService` — answers queries and
+  batches against one shared graph + prebuilt oracle; a batch's
+  distinct cache misses go to one process per usable CPU when there is
+  more than one;
 * :class:`~repro.service.cache.ResultCache` — an LRU result cache keyed
   by ``(graph.version, canonical query)`` so repeated queries are
   amortised and graph mutations implicitly invalidate stale entries;

@@ -63,8 +63,7 @@ class GraphRegistry:
 
     *service_defaults* are forwarded to every service constructed by
     :meth:`load` (per-load overrides win).  Dropping or reloading a name
-    closes the old service — draining its pools and releasing any
-    shared-memory segments — before the name is reused.
+    closes the old service, which stops its batch process pool.
     """
 
     def __init__(
@@ -146,7 +145,7 @@ class GraphRegistry:
         return entry
 
     def drop(self, name: str) -> None:
-        """Unregister *name* and close its service (pools, segments)."""
+        """Unregister *name* and close its service (and its process pool)."""
         with self._lock:
             entry = self._entries.pop(name, None)
         if entry is None:

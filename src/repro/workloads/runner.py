@@ -218,56 +218,3 @@ class ExperimentRunner:
             if result_hook is not None:
                 result_hook(result)
         return report
-
-    def run_batched(
-        self,
-        algorithm: Union[str, AlgorithmSpec],
-        workload: QueryWorkload,
-        *,
-        max_workers: int = 4,
-        executor: str = "thread",
-        parallel: bool = True,
-        time_budget: Optional[float] = None,
-        node_budget: Optional[int] = None,
-        cache_capacity: int = 1024,
-        result_hook: Optional[Callable[[Union[KTGResult, DKTGResult]], None]] = None,
-    ) -> LatencyReport:
-        """Alternate execution path: serve *workload* through a
-        :class:`repro.service.QueryService` (parallel workers + result
-        cache + admission control) instead of the sequential loop.
-
-        Per-query latencies are serving latencies (cache hits are
-        near-zero), so repeated-query workloads report the amortised
-        cost a deployment would observe.
-        """
-        from repro.service import QueryService  # local: avoid import cycle
-
-        spec = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
-        with QueryService(
-            self.graph,
-            spec,
-            oracle=self.oracle_for(spec),
-            max_workers=max_workers,
-            executor=executor,
-            time_budget=time_budget,
-            node_budget=node_budget,
-            cache_capacity=cache_capacity,
-        ) as service:
-            served = service.run_batch(workload, parallel=parallel)
-
-        report = LatencyReport(
-            algorithm=spec.name,
-            dataset=workload.dataset if workload.dataset != "unnamed" else self.dataset_name,
-            query_count=len(workload),
-        )
-        for outcome in served:
-            report.latencies_ms.append(outcome.latency_ms)
-            report.total_nodes_expanded += outcome.result.stats.nodes_expanded
-            report.total_feasible_groups += outcome.result.stats.feasible_groups
-            report.total_keyword_prunes += outcome.result.stats.keyword_prunes
-            report.total_kline_removed += outcome.result.stats.kline_removed
-            if not outcome.result.groups:
-                report.empty_results += 1
-            if result_hook is not None:
-                result_hook(outcome.result)
-        return report

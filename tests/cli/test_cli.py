@@ -131,35 +131,23 @@ class TestBatchCommand:
                 "4",
                 "--keyword-size",
                 "3",
-                "--workers",
-                "2",
                 "--passes",
                 "2",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "batch serving" in out and "from_cache" in out
+        assert "batch serving (batch_workers=" in out and "from_cache" in out
         assert "service metrics" in out and "cache_hit_rate" in out
 
     def test_sequential_flag(self, capsys):
-        code = main(
-            [
-                "batch",
-                "brightkite",
-                "--scale",
-                "0.1",
-                "--queries",
-                "2",
-                "--keyword-size",
-                "3",
-                "--sequential",
-                "--passes",
-                "1",
-            ]
-        )
-        assert code == 0
-        assert "queries_served" in capsys.readouterr().out
+        # The batch path is chosen from the usable CPU count: argparse
+        # rejects --sequential and the removed --workers / --executor.
+        for flags in (["--sequential"], ["--workers", "2"], ["--executor", "thread"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["batch", "brightkite", *flags])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCaseStudyCommand:
@@ -337,15 +325,18 @@ class TestSolveAlias:
 _NON_POSITIVE_CASES = [
     (command, flag, value)
     for flag, value in [
-        ("--workers", "0"),
-        ("--workers", "-2"),
         ("--node-budget", "0"),
         ("--time-budget", "0"),
         ("--time-budget", "-1"),
         ("--time-budget", "nan"),
     ]
     for command in ("batch", "serve")
-] + [("batch", "--passes", "0"), ("batch", "--passes", "-1")]
+] + [
+    ("serve", "--workers", "0"),
+    ("serve", "--workers", "-2"),
+    ("batch", "--passes", "0"),
+    ("batch", "--passes", "-1"),
+]
 
 
 class TestPositiveFlags:
@@ -367,22 +358,16 @@ class TestPositiveFlags:
     @pytest.mark.parametrize("command", ["batch", "serve"])
     def test_positive_values_parse(self, command):
         args = build_parser().parse_args(
-            [
-                command,
-                "brightkite",
-                "--workers",
-                "3",
-                "--node-budget",
-                "50",
-                "--time-budget",
-                "0.5",
-            ]
+            [command, "brightkite", "--node-budget", "50", "--time-budget", "0.5"]
         )
-        assert (args.workers, args.node_budget, args.time_budget) == (3, 50, 0.5)
+        assert (args.node_budget, args.time_budget) == (50, 0.5)
+        if command == "serve":
+            args = build_parser().parse_args([command, "brightkite", "--workers", "3"])
+            assert args.workers == 3
 
     def test_non_numeric_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["batch", "brightkite", "--workers", "many"])
+            main(["serve", "brightkite", "--workers", "many"])
         assert "invalid int value" in capsys.readouterr().err
 
 

@@ -5,7 +5,7 @@ not numpy is installed.
 
 * An in-process :class:`QueryService` solve loads neither numpy (the
   vectorized kernels load it on first use) nor ``multiprocessing`` (the
-  executors load when a pool is first built).
+  batch process pool loads it when first built).
 * :func:`repro.kernels.vec.numpy_available` answers without importing
   numpy; a :class:`BallBitsetEngine` imports it, and falls back to the
   scalar path when the import fails (with ``vec._np = None``, see

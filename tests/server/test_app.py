@@ -48,7 +48,6 @@ def running_server(graph, *, service_kwargs=None, **server_kwargs):
     service = QueryService(
         graph,
         "KTG-VKC-NLRNL",
-        max_workers=4,
         instruments=registry,
         **(service_kwargs or {}),
     )
@@ -498,7 +497,7 @@ class TestStatsEndpoint:
 
 class TestGraphLoad:
     def test_unknown_algorithm_is_400_and_the_connection_keeps_serving(self, graph):
-        graphs = GraphRegistry(algorithm="KTG-VKC-NLRNL", max_workers=1)
+        graphs = GraphRegistry(algorithm="KTG-VKC-NLRNL")
         with graphs, running_server(graph, registry=graphs) as (_, _, (host, port), _):
             connection = http.client.HTTPConnection(host, port, timeout=30)
             try:

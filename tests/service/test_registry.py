@@ -20,7 +20,7 @@ def _query() -> KTGQuery:
 
 def test_load_get_drop_lifecycle():
     graph = make_random_attributed_graph(num_vertices=20, seed=1)
-    with GraphRegistry(max_workers=1) as registry:
+    with GraphRegistry() as registry:
         entry = registry.load("alpha", graph=graph)
         assert entry.graph_id == "alpha#1"
         assert registry.names() == ["alpha"]
@@ -48,7 +48,7 @@ def test_load_requires_profile_or_graph_and_a_name():
 
 def test_reload_bumps_generation_and_swaps_service():
     graph = make_random_attributed_graph(num_vertices=20, seed=1)
-    with GraphRegistry(max_workers=1) as registry:
+    with GraphRegistry() as registry:
         first = registry.load("alpha", graph=graph)
         second = registry.load("alpha", graph=graph)
         assert second.graph_id == "alpha#2"
@@ -62,7 +62,7 @@ def test_reload_bumps_generation_and_swaps_service():
 
 
 def test_load_from_dataset_profile():
-    with GraphRegistry(max_workers=1) as registry:
+    with GraphRegistry() as registry:
         entry = registry.load("bk", "brightkite", scale=0.08, seed=0)
         assert entry.profile == "brightkite"
         assert entry.graph.num_vertices > 0
@@ -81,8 +81,8 @@ def test_same_version_graphs_get_distinct_cache_keys():
     graph_b, _ = load_dataset("brightkite", scale=0.08)
     assert graph_a.version == graph_b.version
     query = _query()
-    with QueryService(graph_a, "KTG-VKC-NLRNL", max_workers=1, graph_id="a#1") as sa:
-        with QueryService(graph_b, "KTG-VKC-NLRNL", max_workers=1, graph_id="b#1") as sb:
+    with QueryService(graph_a, "KTG-VKC-NLRNL", graph_id="a#1") as sa:
+        with QueryService(graph_b, "KTG-VKC-NLRNL", graph_id="b#1") as sb:
             assert sa.cache_key(query) != sb.cache_key(query)
             first = sa.submit(query)
             second = sb.submit(query)
@@ -96,7 +96,7 @@ def test_same_version_graphs_get_distinct_cache_keys():
 
 
 def test_registry_tenants_are_cache_isolated():
-    with GraphRegistry(max_workers=1, algorithm="KTG-VKC-NLRNL") as registry:
+    with GraphRegistry(algorithm="KTG-VKC-NLRNL") as registry:
         registry.load("t1", "brightkite", scale=0.08)
         registry.load("t2", "brightkite", scale=0.08)
         query = _query()
@@ -109,7 +109,7 @@ def test_registry_tenants_are_cache_isolated():
 def test_registry_counts_loads_and_drops():
     graph = make_random_attributed_graph(num_vertices=20, seed=1)
     instruments = InstrumentRegistry()
-    with GraphRegistry(instruments=instruments, max_workers=1) as registry:
+    with GraphRegistry(instruments=instruments) as registry:
         registry.load("alpha", graph=graph)
         registry.load("beta", graph=graph)
         registry.drop("alpha")

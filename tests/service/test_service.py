@@ -1,6 +1,6 @@
 """Unit tests for QueryService serving semantics (single-threaded paths).
 
-Concurrency behaviour (thread/process parity, invalidation under
+Concurrency behaviour (inline/process batch parity, invalidation under
 mutation) lives in ``test_concurrency.py``.
 """
 
@@ -10,8 +10,6 @@ from repro.core.branch_and_bound import BranchAndBoundSolver
 from repro.core.dktg import DKTGResult
 from repro.core.query import DKTGQuery, KTGQuery
 from repro.service import QueryService, ServiceResult
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.runner import ALGORITHMS, ExperimentRunner
 from tests.conftest import make_random_attributed_graph
 
 
@@ -28,12 +26,19 @@ def query(graph):
 
 class TestValidation:
     def test_bad_worker_count_rejected(self, graph):
-        with pytest.raises(ValueError):
-            QueryService(graph, max_workers=0)
+        # The batch width follows the usable CPU count; it is no argument.
+        for count in (0, 2):
+            with pytest.raises(TypeError):
+                QueryService(graph, max_workers=count)
 
-    def test_bad_executor_rejected(self, graph):
-        with pytest.raises(ValueError):
-            QueryService(graph, executor="fibers")
+    def test_bad_executor_rejected(self, graph, query):
+        # There is one batch path: no executor and no per-call switch.
+        for kind in ("fibers", "thread", "process"):
+            with pytest.raises(TypeError):
+                QueryService(graph, executor=kind)
+        with QueryService(graph) as service:
+            with pytest.raises(TypeError):
+                service.run_batch([query], parallel=False)
 
     @pytest.mark.parametrize(
         "budgets",
@@ -178,41 +183,6 @@ class TestCacheCapacity:
         service.submit(query.with_(tenuity=1))  # evicts the first entry
         assert service.stats().cache_evictions == 1
         assert not service.submit(query).from_cache
-
-
-class TestRunnerIntegration:
-    @pytest.fixture(scope="class")
-    def workload(self, graph):
-        generator = WorkloadGenerator(graph, dataset_name="svc")
-        return generator.generate(count=6, keyword_size=3, seed=3)
-
-    def test_run_batched_matches_run(self, graph, workload):
-        runner = ExperimentRunner(graph, "svc")
-        sequential = runner.run("KTG-VKC-NLRNL", workload)
-        results = []
-        batched = runner.run_batched(
-            "KTG-VKC-NLRNL",
-            workload,
-            max_workers=3,
-            result_hook=results.append,
-        )
-        assert batched.algorithm == sequential.algorithm
-        assert batched.query_count == sequential.query_count
-        assert len(results) == len(workload)
-        assert [r.member_sets() for r in results] == [
-            BranchAndBoundSolver(
-                graph, oracle=runner.oracle_for(ALGORITHMS["KTG-VKC-NLRNL"])
-            ).solve(q).member_sets()
-            for q in workload
-        ]
-
-    def test_run_batched_report_shape(self, graph, workload):
-        report = ExperimentRunner(graph, "svc").run_batched(
-            "KTG-VKC-NLRNL", workload, max_workers=2
-        )
-        assert report.query_count == len(workload)
-        assert len(report.latencies_ms) == len(workload)
-        assert report.total_nodes_expanded > 0
 
 
 class TestServiceResult:
