@@ -8,6 +8,7 @@ against BFS ground truth, which needs full-graph scans.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -47,6 +48,27 @@ def disconnected_graph():
         [(0, 1), (1, 2), (0, 2), (3, 4)],
         {0: ["x"], 1: ["y"], 2: ["x", "y"], 3: ["z"], 4: ["x"], 5: ["z"]},
     )
+
+
+def run_threads(count, work):
+    """Run ``work(worker)`` on *count* threads released together."""
+    barrier = threading.Barrier(count)
+    errors = []
+
+    def runner(worker):
+        barrier.wait()
+        try:
+            work(worker)
+        except Exception as exc:  # pragma: no cover - diagnostic
+            errors.append((worker, exc))
+
+    threads = [threading.Thread(target=runner, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert not errors
 
 
 def make_random_attributed_graph(

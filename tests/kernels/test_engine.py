@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pickle
 import random
-import threading
 
 import pytest
 
@@ -14,7 +13,7 @@ from repro.index.bfs import BFSOracle
 from repro.kernels import BallBitsetEngine, DEFAULT_MAX_BALLS, resolve_distance_engine
 from repro.obs.instruments import InstrumentRegistry
 
-from tests.conftest import make_random_attributed_graph
+from tests.conftest import make_random_attributed_graph, run_threads
 
 
 @pytest.fixture
@@ -139,29 +138,16 @@ class TestCounterThreadSafety:
         )
         threads = 8
         rounds = 300
-        barrier = threading.Barrier(threads)
-        failures: list[BaseException] = []
 
         def hammer(seed: int) -> None:
             rng = random.Random(seed)
-            barrier.wait()
-            try:
-                for _ in range(rounds):
-                    vertex = rng.randrange(graph.num_vertices)
-                    k = rng.choice((1, 2, 3))
-                    engine.ball(vertex, k)
-                    engine.filter_mask(1 << vertex, (vertex + 1) % graph.num_vertices, k)
-            except BaseException as exc:  # pragma: no cover - diagnostic
-                failures.append(exc)
+            for _ in range(rounds):
+                vertex = rng.randrange(graph.num_vertices)
+                k = rng.choice((1, 2, 3))
+                engine.ball(vertex, k)
+                engine.filter_mask(1 << vertex, (vertex + 1) % graph.num_vertices, k)
 
-        fleet = [
-            threading.Thread(target=hammer, args=(seed,)) for seed in range(threads)
-        ]
-        for thread in fleet:
-            thread.start()
-        for thread in fleet:
-            thread.join()
-        assert not failures
+        run_threads(threads, hammer)
 
         counts = engine.counters()
         report = registry.report()["counters"]
